@@ -1,0 +1,28 @@
+"""Online-pairing metric losses, priority-class softmax variants, and a
+synthetic person-search trainer/evaluator."""
+
+from .dictionaries import ClassCenterTable, FeatureDictionary, HyperParams
+from .losses import (
+    ClassifierScores,
+    LossBreakdown,
+    OlpResult,
+    c2hep_loss,
+    combined_loss,
+    contrastive_loss,
+    hep_loss,
+    olp_loss,
+    triplet_loss,
+)
+from .numerics import check_gradient, cosine_sim, l2_normalize, make_rng, softmax
+from .pairing import PriorityPool, Subgroup, build_subgroups, select_priority_pool
+
+__all__ = [
+    "ClassCenterTable", "FeatureDictionary", "HyperParams",
+    "ClassifierScores", "LossBreakdown", "OlpResult",
+    "c2hep_loss", "combined_loss", "contrastive_loss", "hep_loss",
+    "olp_loss", "triplet_loss",
+    "check_gradient", "cosine_sim", "l2_normalize", "make_rng", "softmax",
+    "PriorityPool", "Subgroup", "build_subgroups", "select_priority_pool",
+]
+
+__version__ = "0.1.0"

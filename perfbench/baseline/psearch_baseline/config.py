@@ -1,0 +1,135 @@
+"""Experiment configuration: flat key=value text files with command-line
+overrides (later wins). Unknown keys abort with a named error before any
+run starts."""
+
+from __future__ import annotations
+
+import hashlib
+from dataclasses import dataclass, fields
+
+from .errors import ConfigError
+from .simulator import LOSS_CHOICES
+
+
+@dataclass
+class ExperimentConfig:
+    seed: int = 0
+    num_identities: int = 50
+    latent_dim: int = 32
+    obs_dim: int = 128
+    sigma_view: float = 0.4
+    sigma_noise: float = 0.1
+    unlabeled_fraction: float = 0.2
+    background_fraction: float = 0.25
+    images_per_iter: int = 2
+    proposals_per_image: int = 8
+    iters: int = 500
+    lr_initial: float = 0.01
+    lr_final: float = 0.001
+    lr_drop_frac: float = 0.6
+    alpha: float = 1.0
+    beta: float = 1.0
+    lam: float = 10.0
+    phi: float = 0.5
+    pool_size: int = 100
+    top_negatives: int = 10
+    dict_multiplier: int = 40
+    triplet_margin: float = 0.3
+    contrastive_margin: float = 0.5
+    loss_choice: str = "olp+c2hep"
+    gallery_sizes: str = ""
+    query_count: int = 50
+    gallery_per_identity: int = 2
+    distractors: int = 100
+    out_dir: str = "out"
+
+    def validate(self) -> None:
+        if self.seed < 0:
+            raise ConfigError("seed: must be >= 0")
+        if self.num_identities < 2:
+            raise ConfigError("num_identities: must be >= 2")
+        if self.images_per_iter not in (2, 4, 8):
+            raise ConfigError("images_per_iter: must be one of 2, 4, 8")
+        if self.proposals_per_image < 1:
+            raise ConfigError("proposals_per_image: must be >= 1")
+        if self.iters < 1:
+            raise ConfigError("iters: must be >= 1")
+        if self.alpha < 0 or self.beta < 0:
+            raise ConfigError("alpha/beta: must be >= 0")
+        if self.lam <= 0:
+            raise ConfigError("lambda: must be > 0")
+        if not (0.0 < self.phi < 1.0):
+            raise ConfigError("phi: must be in (0, 1)")
+        if self.pool_size < 1:
+            raise ConfigError("pool_size: must be >= 1")
+        if self.top_negatives < 0:
+            raise ConfigError("top_negatives: must be >= 0")
+        if self.dict_multiplier < 1:
+            raise ConfigError("dict_multiplier: must be >= 1")
+        if self.loss_choice not in LOSS_CHOICES:
+            raise ConfigError(
+                f"loss_choice: {self.loss_choice!r} not in {LOSS_CHOICES}"
+            )
+        if not (0.0 <= self.lr_drop_frac <= 1.0):
+            raise ConfigError("lr_drop_frac: must be in [0, 1]")
+        for part in self.gallery_sizes.split(","):
+            if part.strip() and not part.strip().isdigit():
+                raise ConfigError(f"gallery_sizes: bad entry {part.strip()!r}")
+
+    def gallery_size_list(self) -> list[int]:
+        return [int(p) for p in self.gallery_sizes.split(",") if p.strip()]
+
+
+# "lambda" is the file/CLI spelling; the attribute is lam.
+_KEY_TO_ATTR = {"lambda": "lam"}
+_ATTR_TO_KEY = {v: k for k, v in _KEY_TO_ATTR.items()}
+
+_FIELDS = {f.name: f.type for f in fields(ExperimentConfig)}
+
+
+def config_keys() -> list[str]:
+    return [_ATTR_TO_KEY.get(name, name) for name in _FIELDS]
+
+
+def _coerce(attr: str, raw: str):
+    kind = _FIELDS[attr]
+    try:
+        if kind == "int":
+            return int(raw)
+        if kind == "float":
+            return float(raw)
+        return raw
+    except ValueError as exc:
+        raise ConfigError(f"{_ATTR_TO_KEY.get(attr, attr)}: {exc}") from exc
+
+
+def parse_config(text: str, base: ExperimentConfig | None = None) -> ExperimentConfig:
+    cfg = base if base is not None else ExperimentConfig()
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"line {lineno}: expected key=value, got {line!r}")
+        key, raw = (part.strip() for part in line.split("=", 1))
+        apply_override(cfg, key, raw)
+    return cfg
+
+
+def apply_override(cfg: ExperimentConfig, key: str, raw: str) -> None:
+    attr = _KEY_TO_ATTR.get(key, key)
+    if attr not in _FIELDS:
+        raise ConfigError(f"unknown config key {key!r}")
+    setattr(cfg, attr, _coerce(attr, raw))
+
+
+def emit_config(cfg: ExperimentConfig) -> str:
+    lines = []
+    for name in _FIELDS:
+        key = _ATTR_TO_KEY.get(name, name)
+        lines.append(f"{key} = {getattr(cfg, name)}")
+    return "\n".join(lines) + "\n"
+
+
+def config_hash(cfg: ExperimentConfig) -> str:
+    return hashlib.sha256(emit_config(cfg).encode()).hexdigest()[:12]

@@ -1,0 +1,211 @@
+"""Feature dictionary (FIFO negative store) and class-center table.
+
+The feature dictionary keeps the most recent labeled features and serves
+them as negatives across iterations. The center table keeps one running
+center per identity, blended progressively and renormalized.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+from typing import Iterator, Optional
+
+import numpy as np
+
+from .errors import DegenerateUpdate, InvalidLabel, IoError
+from .numerics import ZERO_NORM_EPS, l2_normalize
+
+LABEL_UNIDENTIFIED = -1  # person without identity annotation
+LABEL_BACKGROUND = -2    # never stored in any dictionary
+
+SNAPSHOT_MAGIC = "PSDICT1"
+
+
+@dataclass(frozen=True)
+class DictionaryEntry:
+    feature: np.ndarray
+    label: int
+    insertion_index: int
+
+
+@dataclass
+class HyperParams:
+    alpha: float = 1.0
+    beta: float = 1.0
+    lam: float = 10.0
+    phi: float = 0.5
+    k_cap: Optional[int] = None
+    pool_size: int = 100       # T
+    top_negatives: int = 10    # r
+    triplet_margin: float = 0.3
+    contrastive_margin: float = 0.5
+
+    def __post_init__(self):
+        if self.alpha < 0 or self.beta < 0:
+            raise ValueError("alpha and beta must be >= 0")
+        if self.lam <= 0:
+            raise ValueError("lambda must be > 0")
+        if not (0.0 < self.phi < 1.0):
+            raise ValueError("phi must be in (0, 1)")
+        if self.pool_size < 1:
+            raise ValueError("pool_size must be >= 1")
+        if self.top_negatives < 0:
+            raise ValueError("top_negatives must be >= 0")
+
+
+class FeatureDictionary:
+    """Fixed-capacity FIFO buffer of (feature, label) entries.
+
+    Backed by a ring buffer so negatives come back as one stacked
+    matrix; entries are always exposed in insertion order.
+    """
+
+    def __init__(self, capacity: int):
+        if capacity < 1:
+            raise ValueError("capacity must be positive")
+        self.capacity = capacity
+        self._feats: Optional[np.ndarray] = None  # (capacity, dim)
+        self._labels = np.empty(capacity, dtype=np.int64)
+        self._indices = np.empty(capacity, dtype=np.int64)
+        self._size = 0
+        self._head = 0  # slot of the oldest entry once full
+        self._counter = 0
+
+    def __len__(self) -> int:
+        return self._size
+
+    def _order(self) -> np.ndarray:
+        """Ring slots in insertion order."""
+        if self._size < self.capacity:
+            return np.arange(self._size)
+        return np.concatenate([np.arange(self._head, self.capacity),
+                               np.arange(self._head)])
+
+    def __iter__(self) -> Iterator[DictionaryEntry]:
+        for slot in self._order():
+            yield DictionaryEntry(self._feats[slot], int(self._labels[slot]),
+                                  int(self._indices[slot]))
+
+    def push(self, feature, label: int) -> None:
+        """Append an entry, evicting the oldest when over capacity."""
+        if label < LABEL_UNIDENTIFIED:
+            raise InvalidLabel(f"label {label} not storable")
+        feat = l2_normalize(feature)
+        if self._feats is None:
+            self._feats = np.empty((self.capacity, feat.size))
+        if self._size < self.capacity:
+            slot = self._size
+            self._size += 1
+        else:
+            slot = self._head
+            self._head = (self._head + 1) % self.capacity
+        self._feats[slot] = feat
+        self._labels[slot] = int(label)
+        self._indices[slot] = self._counter
+        self._counter += 1
+
+    def negatives(self, anchor_label: int, k_cap: Optional[int] = None):
+        """Features of entries whose label differs from anchor_label.
+
+        Entries labeled -1 always qualify. Insertion order preserved;
+        with k_cap set, only the k_cap most recent are returned.
+        Returns (feature matrix, label list).
+        """
+        if anchor_label < 0:
+            raise InvalidLabel("anchor must carry an identity label")
+        if self._size == 0:
+            return np.zeros((0, 0)), []
+        order = self._order()
+        keep = order[self._labels[order] != anchor_label]
+        if k_cap is not None and keep.size > k_cap:
+            keep = keep[-k_cap:]
+        return self._feats[keep], [int(v) for v in self._labels[keep]]
+
+    def snapshot(self) -> str:
+        """Serialize to versioned decimal text (magic PSDICT1)."""
+        lines = [f"{SNAPSHOT_MAGIC} capacity={self.capacity} counter={self._counter}"]
+        for e in self:
+            comps = " ".join(repr(float(v)) for v in e.feature)
+            lines.append(f"{e.label} {e.insertion_index} {comps}")
+        return "\n".join(lines) + "\n"
+
+    @classmethod
+    def from_snapshot(cls, text: str) -> "FeatureDictionary":
+        lines = text.strip().split("\n")
+        header = lines[0].split()
+        if not header or header[0] != SNAPSHOT_MAGIC:
+            raise IoError("bad feature-dictionary snapshot magic")
+        capacity = int(header[1].split("=")[1])
+        counter = int(header[2].split("=")[1])
+        d = cls(capacity)
+        for line in lines[1:]:
+            parts = line.split()
+            feat = np.array([float(p) for p in parts[2:]], dtype=np.float64)
+            d.push(feat, int(parts[0]))
+            d._indices[(d._size - 1) if d._size < d.capacity else (d._head - 1) % d.capacity] = int(parts[1])
+        d._counter = counter
+        return d
+
+
+@dataclass
+class ClassCenterTable:
+    """Per-identity running centers, blended by phi and renormalized."""
+
+    num_classes: int
+    phi: float = 0.5
+    centers: dict[int, np.ndarray] = field(default_factory=dict)
+
+    def __post_init__(self):
+        if not (0.0 < self.phi < 1.0):
+            raise ValueError("phi must be in (0, 1)")
+
+    @property
+    def observed(self) -> set[int]:
+        return set(self.centers)
+
+    def has(self, label: int) -> bool:
+        return label in self.centers
+
+    def get(self, label: int) -> np.ndarray:
+        return self.centers[label]
+
+    def update(self, label: int, x) -> None:
+        """Blend x into the stored center and renormalize.
+
+        First observation of a label installs x directly. A blend that
+        cancels to (near) zero keeps the old center and raises
+        DegenerateUpdate so the caller can log the event.
+        """
+        if not (0 <= label < self.num_classes):
+            raise InvalidLabel(f"label {label} outside [0, {self.num_classes})")
+        x = l2_normalize(x)
+        if label not in self.centers:
+            self.centers[label] = x
+            return
+        raw = self.phi * self.centers[label] + (1.0 - self.phi) * x
+        if float(np.linalg.norm(raw)) < ZERO_NORM_EPS:
+            raise DegenerateUpdate(f"center update for label {label} cancelled")
+        self.centers[label] = l2_normalize(raw)
+
+    def snapshot(self) -> str:
+        lines = [f"{SNAPSHOT_MAGIC} classes={self.num_classes} phi={self.phi!r}"]
+        for label in sorted(self.centers):
+            comps = " ".join(repr(float(v)) for v in self.centers[label])
+            lines.append(f"{label} {comps}")
+        return "\n".join(lines) + "\n"
+
+    @classmethod
+    def from_snapshot(cls, text: str) -> "ClassCenterTable":
+        lines = text.strip().split("\n")
+        header = lines[0].split()
+        if not header or header[0] != SNAPSHOT_MAGIC:
+            raise IoError("bad center-table snapshot magic")
+        num_classes = int(header[1].split("=")[1])
+        phi = float(header[2].split("=")[1])
+        table = cls(num_classes=num_classes, phi=phi)
+        for line in lines[1:]:
+            parts = line.split()
+            table.centers[int(parts[0])] = np.array(
+                [float(p) for p in parts[1:]], dtype=np.float64
+            )
+        return table

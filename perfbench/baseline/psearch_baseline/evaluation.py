@@ -1,0 +1,132 @@
+"""Retrieval evaluation: ranking, average precision, CMC, gallery-size
+sweeps, and micro-averaged precision-recall curves."""
+
+from __future__ import annotations
+
+import logging
+from dataclasses import dataclass
+
+import numpy as np
+
+from .errors import EmptyGallery, NoRelevant, SizeTooLarge
+
+log = logging.getLogger(__name__)
+
+
+@dataclass
+class RetrievalSet:
+    queries: list[tuple[np.ndarray, int]]
+    gallery: list[tuple[np.ndarray, int]]
+
+
+def rank_gallery(query: np.ndarray, gallery_feats) -> np.ndarray:
+    """Gallery indices by descending cosine similarity; ties by index."""
+    if len(gallery_feats) == 0:
+        raise EmptyGallery("gallery is empty")
+    sims = np.array([float(np.dot(query, g)) for g in gallery_feats])
+    return np.argsort(-sims, kind="stable")
+
+
+def average_precision(ranked: np.ndarray, relevant: set[int]) -> float:
+    """Non-interpolated AP: mean of precision at each relevant hit."""
+    if not relevant:
+        raise NoRelevant("query has no relevant gallery items")
+    hits = 0
+    precisions = []
+    for rank, idx in enumerate(ranked, start=1):
+        if int(idx) in relevant:
+            hits += 1
+            precisions.append(hits / rank)
+    return float(sum(precisions) / len(relevant))
+
+
+def cmc_topk(ranked: np.ndarray, relevant: set[int], k: int) -> bool:
+    """True iff any relevant index appears within the first k ranks."""
+    if not relevant:
+        raise NoRelevant("query has no relevant gallery items")
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    return any(int(idx) in relevant for idx in ranked[:k])
+
+
+def evaluate_retrieval(rset: RetrievalSet, ks=(1, 5, 10)):
+    """mAP and CMC top-k rates over all queries with >= 1 relevant item.
+
+    Queries without any relevant gallery item are excluded and logged.
+    """
+    gallery_feats = [g for g, _ in rset.gallery]
+    gallery_ids = [i for _, i in rset.gallery]
+    aps = []
+    topk_hits = {k: [] for k in ks}
+    skipped = 0
+    for qfeat, qid in rset.queries:
+        relevant = {i for i, gid in enumerate(gallery_ids) if gid == qid}
+        if not relevant:
+            skipped += 1
+            continue
+        ranked = rank_gallery(qfeat, gallery_feats)
+        aps.append(average_precision(ranked, relevant))
+        for k in ks:
+            topk_hits[k].append(cmc_topk(ranked, relevant, k))
+    if skipped:
+        log.info("excluded %d queries with no relevant gallery item", skipped)
+    if not aps:
+        raise NoRelevant("no query has a relevant gallery item")
+    mAP = float(np.mean(aps))
+    cmc = {k: float(np.mean(topk_hits[k])) for k in ks}
+    return mAP, cmc
+
+
+def gallery_sweep(rset: RetrievalSet, sizes, rng: np.random.Generator):
+    """Evaluate at nested gallery sizes: keep every item relevant to some
+    query, grow a shared, shuffled distractor prefix. Returns rows of
+    (size, mAP, top1, top5, top10)."""
+    query_ids = {qid for _, qid in rset.queries}
+    kept = [i for i, (_, gid) in enumerate(rset.gallery) if gid in query_ids]
+    distractors = [i for i in range(len(rset.gallery)) if i not in set(kept)]
+    order = rng.permutation(len(distractors))
+    rows = []
+    for size in sizes:
+        if size > len(rset.gallery):
+            raise SizeTooLarge(f"size {size} exceeds gallery {len(rset.gallery)}")
+        if size < len(kept):
+            raise SizeTooLarge(
+                f"size {size} cannot hold the {len(kept)} relevant items"
+            )
+        chosen = list(kept) + [distractors[int(j)] for j in order[: size - len(kept)]]
+        sub = RetrievalSet(
+            queries=rset.queries,
+            gallery=[rset.gallery[i] for i in sorted(chosen)],
+        )
+        mAP, cmc = evaluate_retrieval(sub)
+        rows.append((size, mAP, cmc[1], cmc[5], cmc[10]))
+    return rows
+
+
+def pr_curve(rset: RetrievalSet):
+    """Micro-averaged precision-recall over similarity thresholds.
+
+    All (query, gallery) pairs are pooled and swept by descending
+    similarity; points come back sorted by recall ascending.
+    """
+    if not rset.queries:
+        return []
+    gallery_feats = [g for g, _ in rset.gallery]
+    gallery_ids = [i for _, i in rset.gallery]
+    scored = []
+    total_relevant = 0
+    for qfeat, qid in rset.queries:
+        for gi, (gfeat, gid) in enumerate(zip(gallery_feats, gallery_ids)):
+            rel = gid == qid
+            total_relevant += rel
+            scored.append((float(np.dot(qfeat, gfeat)), rel))
+    if total_relevant == 0:
+        return []
+    scored.sort(key=lambda t: -t[0])
+    points = []
+    hits = 0
+    for k, (_, rel) in enumerate(scored, start=1):
+        hits += rel
+        points.append((hits / total_relevant, hits / k))
+    points.sort(key=lambda t: t[0])
+    return points

@@ -1,0 +1,96 @@
+"""Deterministic vector math shared by every other module.
+
+All public functions operate on float64 numpy arrays and are pure: no
+global state, no global RNG. Callers own their random generators.
+"""
+
+from __future__ import annotations
+
+from typing import Callable
+
+import numpy as np
+
+from .errors import (
+    DimensionMismatch,
+    EmptyInput,
+    NonFiniteFunction,
+    ZeroVector,
+)
+
+ZERO_NORM_EPS = 1e-12
+
+
+def make_rng(seed: int) -> np.random.Generator:
+    """Seeded PCG64 generator; identical streams for identical seeds."""
+    return np.random.default_rng(seed)
+
+
+def l2_normalize(v) -> np.ndarray:
+    """Scale v to unit Euclidean norm.
+
+    Raises ZeroVector when the norm is below 1e-12.
+    """
+    v = np.asarray(v, dtype=np.float64)
+    if v.size == 0:
+        raise EmptyInput("cannot normalize an empty vector")
+    if not np.all(np.isfinite(v)):
+        raise NonFiniteFunction("non-finite components in input vector")
+    norm = float(np.linalg.norm(v))
+    if norm < ZERO_NORM_EPS:
+        raise ZeroVector(f"norm {norm} below {ZERO_NORM_EPS}")
+    return v / norm
+
+
+def cosine_sim(a, b) -> float:
+    """Inner product of two unit vectors, clamped to [-1, 1]."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    if a.shape != b.shape:
+        raise DimensionMismatch(f"shapes {a.shape} vs {b.shape}")
+    assert abs(np.linalg.norm(a) - 1.0) < 1e-6, "first argument not unit-norm"
+    assert abs(np.linalg.norm(b) - 1.0) < 1e-6, "second argument not unit-norm"
+    return float(np.clip(np.dot(a, b), -1.0, 1.0))
+
+
+def softmax(scores) -> np.ndarray:
+    """Stable softmax with max-subtraction."""
+    scores = np.asarray(scores, dtype=np.float64)
+    if scores.size == 0:
+        raise EmptyInput("softmax of empty score vector")
+    if not np.all(np.isfinite(scores)):
+        raise NonFiniteFunction("non-finite scores")
+    shifted = scores - np.max(scores)
+    exps = np.exp(shifted)
+    return exps / np.sum(exps)
+
+
+def check_gradient(
+    f: Callable[[np.ndarray], float],
+    x,
+    analytic_grad,
+    h: float = 1e-6,
+) -> float:
+    """Max relative error between analytic_grad and central differences of f.
+
+    Relative error per component is |fd - g| / max(1, |g|).
+    """
+    x = np.asarray(x, dtype=np.float64)
+    g = np.asarray(analytic_grad, dtype=np.float64)
+    if x.shape != g.shape:
+        raise DimensionMismatch(f"shapes {x.shape} vs {g.shape}")
+    if not (1e-7 <= h <= 1e-4):
+        raise ValueError(f"step {h} outside [1e-7, 1e-4]")
+    max_err = 0.0
+    for i in range(x.size):
+        xp = x.copy()
+        xm = x.copy()
+        xp.flat[i] += h
+        xm.flat[i] -= h
+        fp = float(f(xp))
+        fm = float(f(xm))
+        if not (np.isfinite(fp) and np.isfinite(fm)):
+            raise NonFiniteFunction(f"f non-finite near component {i}")
+        fd = (fp - fm) / (2.0 * h)
+        err = abs(fd - g.flat[i]) / max(1.0, abs(g.flat[i]))
+        max_err = max(max_err, err)
+    return max_err

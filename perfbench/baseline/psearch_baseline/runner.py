@@ -1,0 +1,224 @@
+"""Experiment glue: train on a synthetic world, evaluate retrieval, and
+write CSV artifacts. Identical (seed, config) pairs produce byte-identical
+outputs."""
+
+from __future__ import annotations
+
+import os
+from dataclasses import replace
+
+import numpy as np
+
+from .config import ExperimentConfig, config_hash, emit_config
+from .dictionaries import HyperParams
+from .evaluation import RetrievalSet, evaluate_retrieval, gallery_sweep
+from .numerics import l2_normalize, make_rng
+from .simulator import (
+    LOSS_CHOICES,
+    Schedule,
+    SyntheticWorld,
+    ToyEncoder,
+    TrainLogRow,
+    draw_camera_offset,
+    generate_world,
+    person_observation,
+    train,
+)
+
+EVAL_SEED_OFFSET = 1_000_003
+
+
+def _fmt(v) -> str:
+    if isinstance(v, float):
+        return f"{v:.10g}"
+    return str(v)
+
+
+def hyperparams_from_config(cfg: ExperimentConfig) -> HyperParams:
+    return HyperParams(
+        alpha=cfg.alpha,
+        beta=cfg.beta,
+        lam=cfg.lam,
+        phi=cfg.phi,
+        pool_size=cfg.pool_size,
+        top_negatives=cfg.top_negatives,
+        triplet_margin=cfg.triplet_margin,
+        contrastive_margin=cfg.contrastive_margin,
+    )
+
+
+def train_from_config(cfg: ExperimentConfig) -> tuple[SyntheticWorld, ToyEncoder, list[TrainLogRow]]:
+    world = generate_world(
+        cfg.num_identities,
+        latent_dim=cfg.latent_dim,
+        obs_dim=cfg.obs_dim,
+        sigma_view=cfg.sigma_view,
+        sigma_noise=cfg.sigma_noise,
+        unlabeled_fraction=cfg.unlabeled_fraction,
+        background_fraction=cfg.background_fraction,
+        seed=cfg.seed,
+    )
+    encoder = ToyEncoder(cfg.obs_dim, seed=cfg.seed)
+    schedule = Schedule(cfg.lr_initial, cfg.lr_final, cfg.lr_drop_frac)
+    rng = make_rng(cfg.seed)
+    encoder, rows = train(
+        world, encoder, hyperparams_from_config(cfg), schedule,
+        cfg.loss_choice, cfg.images_per_iter, cfg.proposals_per_image,
+        cfg.iters, rng, dict_multiplier=cfg.dict_multiplier,
+    )
+    return world, encoder, rows
+
+
+def build_retrieval_set(
+    world: SyntheticWorld,
+    encoder: ToyEncoder,
+    cfg: ExperimentConfig,
+) -> RetrievalSet:
+    """Fresh observations from the trained world: one query per sampled
+    identity, a few gallery instances each, plus anonymous distractors."""
+    rng = make_rng(cfg.seed + EVAL_SEED_OFFSET)
+    n_query = min(cfg.query_count, world.num_identities)
+    idents = rng.choice(world.num_identities, size=n_query, replace=False)
+    queries = []
+    gallery = []
+    for ident in idents:
+        proto = world.prototypes[int(ident)]
+        q_offset = draw_camera_offset(world, rng)
+        obs = person_observation(world, proto, q_offset, rng)
+        queries.append((encoder.encode(obs)[0], int(ident)))
+        for _ in range(cfg.gallery_per_identity):
+            g_offset = draw_camera_offset(world, rng)
+            obs = person_observation(world, proto, g_offset, rng)
+            gallery.append((encoder.encode(obs)[0], int(ident)))
+    for d in range(cfg.distractors):
+        anon = l2_normalize(rng.normal(size=world.latent_dim))
+        offset = draw_camera_offset(world, rng)
+        obs = person_observation(world, anon, offset, rng)
+        gallery.append((encoder.encode(obs)[0], -1000 - d))
+    return RetrievalSet(queries=queries, gallery=gallery)
+
+
+def evaluate_config(cfg: ExperimentConfig):
+    """Train and evaluate one configuration; returns (mAP, cmc, rows)."""
+    world, encoder, rows = train_from_config(cfg)
+    rset = build_retrieval_set(world, encoder, cfg)
+    mAP, cmc = evaluate_retrieval(rset)
+    return mAP, cmc, rows, rset
+
+
+TRAIN_HEADER = "iteration,olp_loss,id_loss,total,dictionary_size,pool_size,lr"
+EVAL_HEADER = "gallery_size,mAP,top1,top5,top10"
+
+
+def write_train_csv(path: str, rows: list[TrainLogRow]) -> None:
+    with open(path, "w", newline="\n") as fh:
+        fh.write(TRAIN_HEADER + "\n")
+        for r in rows:
+            fh.write(",".join(_fmt(v) for v in (
+                r.iteration, r.olp, r.id_loss, r.total, r.dict_size,
+                r.pool_size, r.lr)) + "\n")
+
+
+def write_eval_csv(path: str, rows) -> None:
+    with open(path, "w", newline="\n") as fh:
+        fh.write(EVAL_HEADER + "\n")
+        for r in rows:
+            fh.write(",".join(_fmt(v) for v in r) + "\n")
+
+
+def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> dict:
+    """The `run` subcommand: train, evaluate, write train.csv, eval.csv,
+    config-echo.txt."""
+    cfg.validate()
+    out = out_dir or cfg.out_dir
+    os.makedirs(out, exist_ok=True)
+    mAP, cmc, rows, rset = evaluate_config(cfg)
+    write_train_csv(os.path.join(out, "train.csv"), rows)
+
+    eval_rows = [(len(rset.gallery), mAP, cmc[1], cmc[5], cmc[10])]
+    sizes = cfg.gallery_size_list()
+    if sizes:
+        rng = make_rng(cfg.seed + 2 * EVAL_SEED_OFFSET)
+        eval_rows.extend(gallery_sweep(rset, sizes, rng))
+    write_eval_csv(os.path.join(out, "eval.csv"), eval_rows)
+
+    with open(os.path.join(out, "config-echo.txt"), "w", newline="\n") as fh:
+        fh.write(emit_config(cfg))
+    return {"mAP": mAP, "cmc": cmc, "out_dir": out}
+
+
+ABLATE_KINDS = ("dict-size", "priority-T", "loss-weights", "input-count",
+                "gallery-size", "loss-choice")
+
+
+def _sweep_points(kind: str, base: ExperimentConfig):
+    """Default sweep grids, rescaled from the full-scale experiments."""
+    if kind == "dict-size":
+        return [("dict_multiplier", m, replace(base, dict_multiplier=m))
+                for m in (20, 40, 60)]
+    if kind == "priority-T":
+        c = base.num_identities
+        values = []
+        for t in (max(2, c // 10), min(base.pool_size, c), max(2, c // 2), c):
+            if t not in values:
+                values.append(t)
+        return [("pool_size", t, replace(base, pool_size=t)) for t in sorted(values)]
+    if kind == "loss-weights":
+        grid = (0.25, 0.5, 0.75, 1.0, 1.25, 1.5)
+        points = [("alpha", a, replace(base, alpha=a, beta=1.0)) for a in grid]
+        points += [("beta", b, replace(base, alpha=1.0, beta=b)) for b in grid]
+        return points
+    if kind == "input-count":
+        return [("images_per_iter", n, replace(base, images_per_iter=n))
+                for n in (2, 4, 8)]
+    if kind == "loss-choice":
+        return [("loss_choice", lc, replace(base, loss_choice=lc))
+                for lc in LOSS_CHOICES]
+    raise ValueError(f"unknown sweep kind {kind!r}")
+
+
+def run_ablation(kind: str, base: ExperimentConfig, out_dir: str | None = None) -> str:
+    """The `ablate` subcommand: one CSV row per sweep point, all points
+    sharing the base seed."""
+    base.validate()
+    out = out_dir or base.out_dir
+    os.makedirs(out, exist_ok=True)
+    path = os.path.join(out, f"ablate-{kind}.csv")
+
+    if kind == "gallery-size":
+        rows = run_gallery_size_sweep(base)
+        with open(path, "w", newline="\n") as fh:
+            fh.write("gallery_size,mAP,top1,top5,top10,config_hash\n")
+            h = config_hash(base)
+            for r in rows:
+                fh.write(",".join(_fmt(v) for v in r) + f",{h}\n")
+        return path
+
+    points = _sweep_points(kind, base)
+    param = points[0][0] if kind != "loss-weights" else "param"
+    with open(path, "w", newline="\n") as fh:
+        if kind == "loss-weights":
+            fh.write("param,value,mAP,top1,top5,top10,config_hash\n")
+        else:
+            fh.write(f"{param},mAP,top1,top5,top10,config_hash\n")
+        for name, value, cfg in points:
+            mAP, cmc, _, _ = evaluate_config(cfg)
+            h = config_hash(cfg)
+            cells = [name, _fmt(value)] if kind == "loss-weights" else [_fmt(value)]
+            cells += [_fmt(mAP), _fmt(cmc[1]), _fmt(cmc[5]), _fmt(cmc[10]), h]
+            fh.write(",".join(cells) + "\n")
+    return path
+
+
+def run_gallery_size_sweep(cfg: ExperimentConfig, sizes: list[int] | None = None):
+    """Train once, then evaluate nested galleries of growing size."""
+    world, encoder, _ = train_from_config(cfg)
+    rset = build_retrieval_set(world, encoder, cfg)
+    query_ids = {qid for _, qid in rset.queries}
+    n_relevant = sum(1 for _, gid in rset.gallery if gid in query_ids)
+    total = len(rset.gallery)
+    if sizes is None:
+        sizes = sorted({n_relevant + round(f * (total - n_relevant))
+                        for f in (0.25, 0.5, 0.75, 1.0)})
+    rng = make_rng(cfg.seed + 2 * EVAL_SEED_OFFSET)
+    return gallery_sweep(rset, sizes, rng)
