@@ -13,7 +13,7 @@ from .losses import (
     olp_loss,
     triplet_loss,
 )
-from .numerics import check_gradient, cosine_sim, l2_normalize, make_rng, softmax
+from .numerics import check_gradient, l2_normalize, make_rng, softmax
 from .pairing import PriorityPool, Subgroup, build_subgroups, select_priority_pool
 
 __all__ = [
@@ -21,7 +21,7 @@ __all__ = [
     "ClassifierScores", "LossBreakdown", "OlpResult",
     "c2hep_loss", "combined_loss", "contrastive_loss", "hep_loss",
     "olp_loss", "triplet_loss",
-    "check_gradient", "cosine_sim", "l2_normalize", "make_rng", "softmax",
+    "check_gradient", "l2_normalize", "make_rng", "softmax",
     "PriorityPool", "Subgroup", "build_subgroups", "select_priority_pool",
 ]
 

@@ -7,8 +7,9 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, fields
 
+from .dictionaries import HyperParams
 from .errors import ConfigError
-from .simulator import LOSS_CHOICES
+from .simulator import IMAGES_PER_ITER, LOSS_CHOICES
 
 
 @dataclass
@@ -48,22 +49,16 @@ class ExperimentConfig:
             raise ConfigError("seed: must be >= 0")
         if self.num_identities < 2:
             raise ConfigError("num_identities: must be >= 2")
-        if self.images_per_iter not in (2, 4, 8):
-            raise ConfigError("images_per_iter: must be one of 2, 4, 8")
+        if self.images_per_iter not in IMAGES_PER_ITER:
+            raise ConfigError(f"images_per_iter: must be one of {IMAGES_PER_ITER}")
         if self.proposals_per_image < 1:
             raise ConfigError("proposals_per_image: must be >= 1")
         if self.iters < 1:
             raise ConfigError("iters: must be >= 1")
-        if self.alpha < 0 or self.beta < 0:
-            raise ConfigError("alpha/beta: must be >= 0")
-        if self.lam <= 0:
-            raise ConfigError("lambda: must be > 0")
-        if not (0.0 < self.phi < 1.0):
-            raise ConfigError("phi: must be in (0, 1)")
-        if self.pool_size < 1:
-            raise ConfigError("pool_size: must be >= 1")
-        if self.top_negatives < 0:
-            raise ConfigError("top_negatives: must be >= 0")
+        try:
+            hyperparams_from_config(self)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         if self.dict_multiplier < 1:
             raise ConfigError("dict_multiplier: must be >= 1")
         if self.loss_choice not in LOSS_CHOICES:
@@ -75,9 +70,29 @@ class ExperimentConfig:
         for part in self.gallery_sizes.split(","):
             if part.strip() and not part.strip().isdigit():
                 raise ConfigError(f"gallery_sizes: bad entry {part.strip()!r}")
+        # a swept gallery keeps every item of a query identity (see build_retrieval_set)
+        relevant = min(self.query_count, self.num_identities) * self.gallery_per_identity
+        total = relevant + self.distractors
+        for size in self.gallery_size_list():
+            if not relevant <= size <= total:
+                raise ConfigError(f"gallery_sizes: {size} outside [{relevant}, {total}]")
 
     def gallery_size_list(self) -> list[int]:
         return [int(p) for p in self.gallery_sizes.split(",") if p.strip()]
+
+
+def hyperparams_from_config(cfg: ExperimentConfig) -> HyperParams:
+    """The loss hyperparameters; HyperParams checks their ranges."""
+    return HyperParams(
+        alpha=cfg.alpha,
+        beta=cfg.beta,
+        lam=cfg.lam,
+        phi=cfg.phi,
+        pool_size=cfg.pool_size,
+        top_negatives=cfg.top_negatives,
+        triplet_margin=cfg.triplet_margin,
+        contrastive_margin=cfg.contrastive_margin,
+    )
 
 
 # "lambda" is the file/CLI spelling; the attribute is lam.

@@ -12,20 +12,17 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .errors import DegenerateUpdate, InvalidLabel, IoError
+from .errors import DegenerateUpdate, InvalidLabel
 from .numerics import ZERO_NORM_EPS, l2_normalize
 
 LABEL_UNIDENTIFIED = -1  # person without identity annotation
 LABEL_BACKGROUND = -2    # never stored in any dictionary
-
-SNAPSHOT_MAGIC = "PSDICT1"
 
 
 @dataclass(frozen=True)
 class DictionaryEntry:
     feature: np.ndarray
     label: int
-    insertion_index: int
 
 
 @dataclass
@@ -34,7 +31,6 @@ class HyperParams:
     beta: float = 1.0
     lam: float = 10.0
     phi: float = 0.5
-    k_cap: Optional[int] = None
     pool_size: int = 100       # T
     top_negatives: int = 10    # r
     triplet_margin: float = 0.3
@@ -66,10 +62,8 @@ class FeatureDictionary:
         self.capacity = capacity
         self._feats: Optional[np.ndarray] = None  # (capacity, dim)
         self._labels = np.empty(capacity, dtype=np.int64)
-        self._indices = np.empty(capacity, dtype=np.int64)
         self._size = 0
         self._head = 0  # slot of the oldest entry once full
-        self._counter = 0
 
     def __len__(self) -> int:
         return self._size
@@ -83,8 +77,7 @@ class FeatureDictionary:
 
     def __iter__(self) -> Iterator[DictionaryEntry]:
         for slot in self._order():
-            yield DictionaryEntry(self._feats[slot], int(self._labels[slot]),
-                                  int(self._indices[slot]))
+            yield DictionaryEntry(self._feats[slot], int(self._labels[slot]))
 
     def push(self, feature, label: int) -> None:
         """Append an entry, evicting the oldest when over capacity."""
@@ -101,14 +94,11 @@ class FeatureDictionary:
             self._head = (self._head + 1) % self.capacity
         self._feats[slot] = feat
         self._labels[slot] = int(label)
-        self._indices[slot] = self._counter
-        self._counter += 1
 
-    def negatives(self, anchor_label: int, k_cap: Optional[int] = None):
+    def negatives(self, anchor_label: int):
         """Features of entries whose label differs from anchor_label.
 
-        Entries labeled -1 always qualify. Insertion order preserved;
-        with k_cap set, only the k_cap most recent are returned.
+        Entries labeled -1 always qualify. Insertion order preserved.
         Returns (feature matrix, label list).
         """
         if anchor_label < 0:
@@ -117,34 +107,7 @@ class FeatureDictionary:
             return np.zeros((0, 0)), []
         order = self._order()
         keep = order[self._labels[order] != anchor_label]
-        if k_cap is not None and keep.size > k_cap:
-            keep = keep[-k_cap:]
         return self._feats[keep], [int(v) for v in self._labels[keep]]
-
-    def snapshot(self) -> str:
-        """Serialize to versioned decimal text (magic PSDICT1)."""
-        lines = [f"{SNAPSHOT_MAGIC} capacity={self.capacity} counter={self._counter}"]
-        for e in self:
-            comps = " ".join(repr(float(v)) for v in e.feature)
-            lines.append(f"{e.label} {e.insertion_index} {comps}")
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_snapshot(cls, text: str) -> "FeatureDictionary":
-        lines = text.strip().split("\n")
-        header = lines[0].split()
-        if not header or header[0] != SNAPSHOT_MAGIC:
-            raise IoError("bad feature-dictionary snapshot magic")
-        capacity = int(header[1].split("=")[1])
-        counter = int(header[2].split("=")[1])
-        d = cls(capacity)
-        for line in lines[1:]:
-            parts = line.split()
-            feat = np.array([float(p) for p in parts[2:]], dtype=np.float64)
-            d.push(feat, int(parts[0]))
-            d._indices[(d._size - 1) if d._size < d.capacity else (d._head - 1) % d.capacity] = int(parts[1])
-        d._counter = counter
-        return d
 
 
 @dataclass
@@ -186,26 +149,3 @@ class ClassCenterTable:
         if float(np.linalg.norm(raw)) < ZERO_NORM_EPS:
             raise DegenerateUpdate(f"center update for label {label} cancelled")
         self.centers[label] = l2_normalize(raw)
-
-    def snapshot(self) -> str:
-        lines = [f"{SNAPSHOT_MAGIC} classes={self.num_classes} phi={self.phi!r}"]
-        for label in sorted(self.centers):
-            comps = " ".join(repr(float(v)) for v in self.centers[label])
-            lines.append(f"{label} {comps}")
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_snapshot(cls, text: str) -> "ClassCenterTable":
-        lines = text.strip().split("\n")
-        header = lines[0].split()
-        if not header or header[0] != SNAPSHOT_MAGIC:
-            raise IoError("bad center-table snapshot magic")
-        num_classes = int(header[1].split("=")[1])
-        phi = float(header[2].split("=")[1])
-        table = cls(num_classes=num_classes, phi=phi)
-        for line in lines[1:]:
-            parts = line.split()
-            table.centers[int(parts[0])] = np.array(
-                [float(p) for p in parts[1:]], dtype=np.float64
-            )
-        return table

@@ -63,7 +63,3 @@ class ConfigError(PSearchError):
 
 class DivergenceDetected(PSearchError):
     """Total training loss became NaN/Inf."""
-
-
-class IoError(PSearchError):
-    pass

@@ -1,5 +1,5 @@
-"""Retrieval evaluation: ranking, average precision, CMC, gallery-size
-sweeps, and micro-averaged precision-recall curves."""
+"""Retrieval evaluation: ranking, average precision, CMC, and
+gallery-size sweeps."""
 
 from __future__ import annotations
 
@@ -101,32 +101,3 @@ def gallery_sweep(rset: RetrievalSet, sizes, rng: np.random.Generator):
         mAP, cmc = evaluate_retrieval(sub)
         rows.append((size, mAP, cmc[1], cmc[5], cmc[10]))
     return rows
-
-
-def pr_curve(rset: RetrievalSet):
-    """Micro-averaged precision-recall over similarity thresholds.
-
-    All (query, gallery) pairs are pooled and swept by descending
-    similarity; points come back sorted by recall ascending.
-    """
-    if not rset.queries:
-        return []
-    gallery_feats = [g for g, _ in rset.gallery]
-    gallery_ids = [i for _, i in rset.gallery]
-    scored = []
-    total_relevant = 0
-    for qfeat, qid in rset.queries:
-        for gi, (gfeat, gid) in enumerate(zip(gallery_feats, gallery_ids)):
-            rel = gid == qid
-            total_relevant += rel
-            scored.append((float(np.dot(qfeat, gfeat)), rel))
-    if total_relevant == 0:
-        return []
-    scored.sort(key=lambda t: -t[0])
-    points = []
-    hits = 0
-    for k, (_, rel) in enumerate(scored, start=1):
-        hits += rel
-        points.append((hits / total_relevant, hits / k))
-    points.sort(key=lambda t: t[0])
-    return points

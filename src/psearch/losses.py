@@ -83,35 +83,32 @@ def olp_loss(subgroups: list[Subgroup]) -> OlpResult:
 def hep_loss(
     samples: list[ClassifierScores],
     pool: PriorityPool,
-    normalize_by_contributing: bool = False,
 ) -> tuple[float, list[np.ndarray]]:
     """Cross-entropy over classifier scores restricted to the pool classes.
 
     Samples whose label is outside the pool contribute zero loss and
-    zero gradient. Normalization divides by the total sample count; the
-    contributing-count variant sits behind a flag for the ablation
-    harness.
+    zero gradient but still count in the normalization, which divides
+    by the total sample count.
     """
     if len(pool) == 0:
         raise EmptyPool("priority pool is empty")
     pooled = pool.sorted_labels()
     pos_of = {lab: i for i, lab in enumerate(pooled)}
-    contributing = sum(1 for s in samples if s.label in pool)
-    denom = contributing if normalize_by_contributing else len(samples)
+    n = len(samples)
     terms = []
     grads = []
     for s in samples:
         grad = np.zeros_like(np.asarray(s.scores, dtype=np.float64))
-        if s.label in pool and denom > 0:
+        if s.label in pool:
             sub = np.asarray(s.scores, dtype=np.float64)[pooled]
             probs = softmax(sub)
             idx = pos_of[s.label]
             terms.append(-math.log(float(probs[idx])))
             sub_grad = probs.copy()
             sub_grad[idx] -= 1.0
-            grad[pooled] = sub_grad / denom
+            grad[pooled] = sub_grad / n
         grads.append(grad)
-    loss = math.fsum(terms) / denom if denom > 0 else 0.0
+    loss = math.fsum(terms) / n if n else 0.0
     return loss, grads
 
 

@@ -41,17 +41,6 @@ def l2_normalize(v) -> np.ndarray:
     return v / norm
 
 
-def cosine_sim(a, b) -> float:
-    """Inner product of two unit vectors, clamped to [-1, 1]."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise DimensionMismatch(f"shapes {a.shape} vs {b.shape}")
-    assert abs(np.linalg.norm(a) - 1.0) < 1e-6, "first argument not unit-norm"
-    assert abs(np.linalg.norm(b) - 1.0) < 1e-6, "second argument not unit-norm"
-    return float(np.clip(np.dot(a, b), -1.0, 1.0))
-
-
 def softmax(scores) -> np.ndarray:
     """Stable softmax with max-subtraction."""
     scores = np.asarray(scores, dtype=np.float64)

@@ -9,11 +9,11 @@ labels, the hardest negative classes, and random fill.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .dictionaries import FeatureDictionary, HyperParams
+from .dictionaries import FeatureDictionary
 from .errors import InvalidParams
 
 log = logging.getLogger(__name__)
@@ -43,10 +43,16 @@ class PriorityPool:
         return len(self.labels)
 
 
+def same_label_pairs(labels: list[int]) -> list[tuple[int, int]]:
+    """Index pairs i < j of proposals sharing an identity label >= 0, in
+    the order build_subgroups forms their subgroups."""
+    return [(i, j) for i in range(len(labels)) if labels[i] >= 0
+            for j in range(i + 1, len(labels)) if labels[j] == labels[i]]
+
+
 def build_subgroups(
     batch: list[list[tuple[np.ndarray, int]]],
     dictionary: FeatureDictionary,
-    hp: HyperParams | None = None,
 ) -> list[Subgroup]:
     """Form symmetric subgroups from a two-image proposal batch.
 
@@ -57,23 +63,16 @@ def build_subgroups(
     """
     if len(batch) != 2:
         raise InvalidParams(f"batch must hold exactly two images, got {len(batch)}")
-    k_cap = hp.k_cap if hp is not None else None
     proposals = [p for image in batch for p in image]
     subgroups: list[Subgroup] = []
     neg_cache: dict[int, tuple] = {}
-    for i in range(len(proposals)):
-        fi, li = proposals[i]
-        if li < 0:
-            continue
-        for j in range(i + 1, len(proposals)):
-            fj, lj = proposals[j]
-            if lj != li:
-                continue
-            if li not in neg_cache:
-                neg_cache[li] = dictionary.negatives(li, k_cap)
-            negs, neg_labels = neg_cache[li]
-            subgroups.append(Subgroup(fi, fj, negs, li, neg_labels))
-            subgroups.append(Subgroup(fj, fi, negs, li, neg_labels))
+    for i, j in same_label_pairs([lab for _, lab in proposals]):
+        (fi, label), (fj, _) = proposals[i], proposals[j]
+        if label not in neg_cache:
+            neg_cache[label] = dictionary.negatives(label)
+        negs, neg_labels = neg_cache[label]
+        subgroups.append(Subgroup(fi, fj, negs, label, neg_labels))
+        subgroups.append(Subgroup(fj, fi, negs, label, neg_labels))
     return subgroups
 
 

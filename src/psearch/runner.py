@@ -9,8 +9,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .config import ExperimentConfig, config_hash, emit_config
-from .dictionaries import HyperParams
+from .config import ExperimentConfig, config_hash, emit_config, hyperparams_from_config
 from .evaluation import RetrievalSet, evaluate_retrieval, gallery_sweep
 from .numerics import l2_normalize, make_rng
 from .simulator import (
@@ -32,19 +31,6 @@ def _fmt(v) -> str:
     if isinstance(v, float):
         return f"{v:.10g}"
     return str(v)
-
-
-def hyperparams_from_config(cfg: ExperimentConfig) -> HyperParams:
-    return HyperParams(
-        alpha=cfg.alpha,
-        beta=cfg.beta,
-        lam=cfg.lam,
-        phi=cfg.phi,
-        pool_size=cfg.pool_size,
-        top_negatives=cfg.top_negatives,
-        triplet_margin=cfg.triplet_margin,
-        contrastive_margin=cfg.contrastive_margin,
-    )
 
 
 def train_from_config(cfg: ExperimentConfig) -> tuple[SyntheticWorld, ToyEncoder, list[TrainLogRow]]:
@@ -210,14 +196,16 @@ def run_ablation(kind: str, base: ExperimentConfig, out_dir: str | None = None) 
     return path
 
 
-def run_gallery_size_sweep(cfg: ExperimentConfig, sizes: list[int] | None = None):
-    """Train once, then evaluate nested galleries of growing size."""
+def run_gallery_size_sweep(cfg: ExperimentConfig):
+    """Train once, then evaluate nested galleries of the configured sizes
+    (default: a quarter, half, three quarters and all of the distractors)."""
     world, encoder, _ = train_from_config(cfg)
     rset = build_retrieval_set(world, encoder, cfg)
-    query_ids = {qid for _, qid in rset.queries}
-    n_relevant = sum(1 for _, gid in rset.gallery if gid in query_ids)
-    total = len(rset.gallery)
-    if sizes is None:
+    sizes = cfg.gallery_size_list()
+    if not sizes:
+        query_ids = {qid for _, qid in rset.queries}
+        n_relevant = sum(1 for _, gid in rset.gallery if gid in query_ids)
+        total = len(rset.gallery)
         sizes = sorted({n_relevant + round(f * (total - n_relevant))
                         for f in (0.25, 0.5, 0.75, 1.0)})
     rng = make_rng(cfg.seed + 2 * EVAL_SEED_OFFSET)

@@ -10,7 +10,7 @@ camera offset, which models cross-view intra-class variation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,7 +21,7 @@ from .dictionaries import (
     LABEL_BACKGROUND,
     LABEL_UNIDENTIFIED,
 )
-from .errors import DivergenceDetected, InvalidParams, IoError
+from .errors import DivergenceDetected, InvalidParams
 from .losses import (
     ClassifierScores,
     c2hep_loss,
@@ -32,12 +32,21 @@ from .losses import (
     triplet_loss,
 )
 from .numerics import l2_normalize, make_rng
-from .pairing import build_subgroups, select_priority_pool
+from .pairing import build_subgroups, same_label_pairs, select_priority_pool
 
 EMBED_DIM = 256
-CHECKPOINT_MAGIC = "PSCKPT1"
 
-LOSS_CHOICES = ("olp+c2hep", "olp+hep", "olp", "c2hep", "triplet+hep", "contrastive")
+# loss choice -> (metric term, identity term), in `ablate loss-choice` row order
+LOSS_TERMS = {
+    "olp+c2hep": ("olp", "c2hep"),
+    "olp+hep": ("olp", "hep"),
+    "olp": ("olp", None),
+    "c2hep": (None, "c2hep"),
+    "triplet+hep": ("triplet", "hep"),
+    "contrastive": ("contrastive", None),
+}
+LOSS_CHOICES = tuple(LOSS_TERMS)
+IMAGES_PER_ITER = (2, 4, 8)
 
 
 @dataclass
@@ -193,14 +202,6 @@ class ToyEncoder:
         dz = (dx - x * float(np.dot(x, dx))) / norm
         return np.outer(dz, obs), dz
 
-    def clone(self) -> "ToyEncoder":
-        c = ToyEncoder.__new__(ToyEncoder)
-        c.obs_dim = self.obs_dim
-        c.embed_dim = self.embed_dim
-        c.W = self.W.copy()
-        c.b = self.b.copy()
-        return c
-
 
 class ClassifierHead:
     """Learned affine map from embeddings to C+1 scores (last = background)."""
@@ -243,33 +244,28 @@ class Schedule:
         return self.lr_final
 
 
-def _batch_olp(pairs, feats, labels, dictionary, hp):
-    """OLP over all image pairs; returns (loss, grads-by-index, hard ranking)."""
+def _batch_olp(pairs, feats, labels, dictionary):
+    """OLP over all image pairs; returns (loss, grads-by-index, hard ranking).
+    The ranking is all negative labels by descending anchor similarity;
+    ties keep subgroup, then dictionary, order."""
     subgroups = []
-    anchor_index: list[int] = []
-    for idx1, idx2 in pairs:
-        batch = [
-            [(feats[i], labels[i]) for i in idx1],
-            [(feats[i], labels[i]) for i in idx2],
-        ]
-        sgs = build_subgroups(batch, dictionary, hp)
-        by_id = {id(feats[i]): i for i in list(idx1) + list(idx2)}
-        for sg in sgs:
-            subgroups.append(sg)
-            anchor_index.append(by_id[id(sg.anchor)])
+    anchors: list[int] = []  # proposal index of each subgroup's anchor
+    for pair in pairs:
+        subgroups += build_subgroups(
+            [[(feats[i], labels[i]) for i in idx] for idx in pair], dictionary)
+        flat = [*pair[0], *pair[1]]
+        for i, j in same_label_pairs([labels[k] for k in flat]):
+            anchors += (flat[i], flat[j])
     if not subgroups:
         return 0.0, {}, []
     result = olp_loss(subgroups)
     m = len(subgroups)
     grads: dict[int, np.ndarray] = {}
-    sims: list[tuple[float, int]] = []
-    for sg, d_negs, g, ai in zip(subgroups, result.negative_sims,
-                                 result.anchor_gradients, anchor_index):
+    for ai, g in zip(anchors, result.anchor_gradients):
         grads[ai] = grads.get(ai, 0.0) + g / m
-        sims.extend(zip(d_negs.tolist(), sg.negative_labels))
-    sims.sort(key=lambda t: -t[0])
-    ranked = [lab for _, lab in sims]
-    return result.loss, grads, ranked
+    order = np.argsort(-np.concatenate(result.negative_sims), kind="stable")
+    neg_labels = [lab for sg in subgroups for lab in sg.negative_labels]
+    return result.loss, grads, [neg_labels[k] for k in order.tolist()]
 
 
 def _batch_triplet(feats, labels, person_idx, margin):
@@ -354,26 +350,20 @@ def train(
     iters: int,
     rng: np.random.Generator,
     dict_multiplier: int = 40,
-    head: ClassifierHead | None = None,
-    hep_normalize_by_contributing: bool = False,
 ) -> tuple[ToyEncoder, list[TrainLogRow]]:
     """Four-step loop per iteration: encode, compute losses (detection
     term fixed to zero), SGD step through the normalization Jacobian,
     then dictionary pushes and center updates."""
-    if loss_choice not in LOSS_CHOICES:
+    if loss_choice not in LOSS_TERMS:
         raise InvalidParams(f"unknown loss choice {loss_choice!r}")
-    if images_per_iter not in (2, 4, 8):
-        raise InvalidParams("images_per_iter must be one of 2, 4, 8")
-    use_olp = loss_choice in ("olp+c2hep", "olp+hep", "olp")
-    use_c2hep = loss_choice in ("olp+c2hep", "c2hep")
-    use_hep = loss_choice in ("olp+hep", "triplet+hep")
-    use_triplet = loss_choice == "triplet+hep"
-    use_contrastive = loss_choice == "contrastive"
+    if images_per_iter not in IMAGES_PER_ITER:
+        raise InvalidParams(f"images_per_iter must be one of {IMAGES_PER_ITER}")
+    metric, identity = LOSS_TERMS[loss_choice]
 
     capacity = dict_multiplier * proposals_per_image * images_per_iter
     dictionary = FeatureDictionary(capacity)
     centers = ClassCenterTable(num_classes=world.num_identities, phi=hp.phi)
-    if use_hep and head is None:
+    if identity == "hep":
         head = ClassifierHead(world.num_identities, encoder.embed_dim)
     bg_class = world.num_identities
 
@@ -404,32 +394,29 @@ def train(
 
         feat_grads: dict[int, np.ndarray] = {}
         olp_val = 0.0
+        metric_grads: dict[int, np.ndarray] = {}
         hard_ranked: list[int] = []
-        if use_olp:
-            olp_val, olp_grads, hard_ranked = _batch_olp(pairs, feats, labels, dictionary, hp)
-            for i, g in olp_grads.items():
-                feat_grads[i] = feat_grads.get(i, 0.0) + hp.alpha * g
-        elif use_triplet:
-            olp_val, tri_grads = _batch_triplet(feats, labels, person_idx, hp.triplet_margin)
-            for i, g in tri_grads.items():
-                feat_grads[i] = feat_grads.get(i, 0.0) + hp.alpha * g
-        elif use_contrastive:
-            olp_val, con_grads = _batch_contrastive(feats, labels, person_idx, hp.contrastive_margin)
-            for i, g in con_grads.items():
-                feat_grads[i] = feat_grads.get(i, 0.0) + hp.alpha * g
+        if metric == "olp":
+            olp_val, metric_grads, hard_ranked = _batch_olp(pairs, feats, labels, dictionary)
+        elif metric == "triplet":
+            olp_val, metric_grads = _batch_triplet(feats, labels, person_idx, hp.triplet_margin)
+        elif metric == "contrastive":
+            olp_val, metric_grads = _batch_contrastive(feats, labels, person_idx, hp.contrastive_margin)
+        for i, g in metric_grads.items():
+            feat_grads[i] = feat_grads.get(i, 0.0) + hp.alpha * g
 
         id_val = 0.0
         pool_len = 0
         dA = dc = None
-        if use_c2hep or use_hep:
+        if identity is not None:
             gt = {labels[i] for i in labeled_idx}
-            extra = {bg_class} if use_hep else frozenset()
+            extra = {bg_class} if identity == "hep" else frozenset()
             pool = select_priority_pool(
                 gt, hard_ranked, hp.pool_size, hp.top_negatives,
                 world.num_identities, rng, extra_labels=extra,
             )
             pool_len = len(pool)
-            if use_c2hep and labeled_idx:
+            if identity == "c2hep" and labeled_idx:
                 for i in labeled_idx:
                     if not centers.has(labels[i]):
                         centers.update(labels[i], feats[i])
@@ -437,19 +424,16 @@ def train(
                 id_val, fgrads = c2hep_loss(samples, pool, centers, hp.lam)
                 for i, g in zip(labeled_idx, fgrads):
                     feat_grads[i] = feat_grads.get(i, 0.0) + hp.beta * g
-            elif use_hep:
-                sample_idx = [i for i in person_idx] + [
-                    i for i in range(len(feats)) if labels[i] == LABEL_BACKGROUND
-                ]
-                sample_idx = [i for i in sample_idx if labels[i] != LABEL_UNIDENTIFIED]
+            elif identity == "hep":
+                # identities, then backgrounds as class bg_class; unlabeled persons skipped
+                sample_idx = labeled_idx + [
+                    i for i, lab in enumerate(labels) if lab == LABEL_BACKGROUND]
                 samples = []
                 for i in sample_idx:
                     lab = labels[i] if labels[i] >= 0 else bg_class
                     samples.append(ClassifierScores(head.scores(feats[i]), lab))
                 if samples:
-                    id_val, sgrads = hep_loss(
-                        samples, pool, normalize_by_contributing=hep_normalize_by_contributing
-                    )
+                    id_val, sgrads = hep_loss(samples, pool)
                     dA = np.zeros_like(head.A)
                     dc = np.zeros_like(head.c)
                     for i, g in zip(sample_idx, sgrads):
@@ -487,34 +471,3 @@ def train(
             dict_size=len(dictionary), pool_size=pool_len, lr=lr,
         ))
     return encoder, log_rows
-
-
-def save_checkpoint(path, encoder: ToyEncoder, dictionary: FeatureDictionary,
-                    centers: ClassCenterTable) -> None:
-    with open(path, "w") as fh:
-        fh.write(f"{CHECKPOINT_MAGIC} obs_dim={encoder.obs_dim} embed_dim={encoder.embed_dim}\n")
-        fh.write("W " + " ".join(repr(float(v)) for v in encoder.W.ravel()) + "\n")
-        fh.write("b " + " ".join(repr(float(v)) for v in encoder.b) + "\n")
-        fh.write("[dictionary]\n")
-        fh.write(dictionary.snapshot())
-        fh.write("[centers]\n")
-        fh.write(centers.snapshot())
-
-
-def load_checkpoint(path):
-    with open(path) as fh:
-        text = fh.read()
-    lines = text.split("\n")
-    header = lines[0].split()
-    if not header or header[0] != CHECKPOINT_MAGIC:
-        raise IoError("bad checkpoint magic")
-    obs_dim = int(header[1].split("=")[1])
-    embed_dim = int(header[2].split("=")[1])
-    encoder = ToyEncoder(obs_dim, embed_dim)
-    encoder.W = np.array([float(v) for v in lines[1].split()[1:]]).reshape(embed_dim, obs_dim)
-    encoder.b = np.array([float(v) for v in lines[2].split()[1:]])
-    d_start = lines.index("[dictionary]") + 1
-    c_start = lines.index("[centers]")
-    dictionary = FeatureDictionary.from_snapshot("\n".join(lines[d_start:c_start]))
-    centers = ClassCenterTable.from_snapshot("\n".join(lines[c_start + 1:]))
-    return encoder, dictionary, centers

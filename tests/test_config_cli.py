@@ -148,6 +148,15 @@ class TestCliRun:
         rc = main(["run", "--config", "/nonexistent/x.cfg"])
         assert rc == 2
 
+    # TINY holds 5 query identities x 2 gallery items + 10 distractors
+    @pytest.mark.parametrize("size", ["5", "21"])
+    def test_gallery_size_out_of_range_fails_before_training(self, tmp_path, capsys, size):
+        out = tmp_path / "out"
+        rc = main(["run", *TINY, "--gallery-sizes", size, "--out-dir", str(out)])
+        assert rc == 2
+        assert "gallery_sizes" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestCliAblateAndSweep:
     def test_ablate_input_count(self, tmp_path):
@@ -172,6 +181,17 @@ class TestCliAblateAndSweep:
         assert lines[0] == "gallery_size,mAP,top1,top5,top10"
         sizes = [int(row.split(",")[0]) for row in lines[1:]]
         assert sizes == sorted(sizes) and len(sizes) >= 2
+
+    @pytest.mark.parametrize("command,csv", [
+        (["sweep-gallery"], "gallery-sweep.csv"),
+        (["ablate", "gallery-size"], "ablate-gallery-size.csv"),
+    ])
+    def test_gallery_sizes_flag_sets_sweep(self, tmp_path, command, csv):
+        out = tmp_path / "out"
+        rc = main([*command, *TINY, "--gallery-sizes", "11,20", "--out-dir", str(out)])
+        assert rc == 0
+        lines = (out / csv).read_text().strip().split("\n")
+        assert [int(row.split(",")[0]) for row in lines[1:]] == [11, 20]
 
 
 class TestCliCheck:

@@ -60,13 +60,6 @@ class TestFeatureDictionary:
         feats, labels = d.negatives(5)
         assert len(feats) == 0
 
-    def test_k_cap_keeps_most_recent(self):
-        d = FeatureDictionary(8)
-        for i in range(5):
-            d.push(unit(1, i + 1), i)
-        feats, labels = d.negatives(99, k_cap=2)
-        assert labels == [3, 4]
-
     @given(st.integers(1, 10), st.lists(st.integers(-1, 6), max_size=40))
     @settings(max_examples=50, deadline=None)
     def test_holds_most_recent(self, capacity, labels):
@@ -77,19 +70,6 @@ class TestFeatureDictionary:
         assert len(d) == min(capacity, len(labels))
         stored = [e.label for e in d]
         assert stored == labels[-len(stored):]
-
-    def test_snapshot_roundtrip(self):
-        d = FeatureDictionary(3)
-        rng = make_rng(7)
-        for i in range(5):
-            d.push(l2_normalize(rng.normal(size=4)), i % 3 - 1)
-        text = d.snapshot()
-        assert text.startswith("PSDICT1")
-        d2 = FeatureDictionary.from_snapshot(text)
-        for e1, e2 in zip(d, d2):
-            assert e1.label == e2.label
-            assert e1.insertion_index == e2.insertion_index
-            assert np.array_equal(e1.feature, e2.feature)
 
 
 class TestClassCenterTable:
@@ -147,16 +127,6 @@ class TestClassCenterTable:
             t.update(int(rng.integers(3)), l2_normalize(rng.normal(size=6)))
         for c in t.centers.values():
             assert abs(np.linalg.norm(c) - 1.0) < 1e-9
-
-    def test_snapshot_roundtrip(self):
-        t = ClassCenterTable(num_classes=5, phi=0.25)
-        rng = make_rng(11)
-        for lab in (0, 2, 4):
-            t.update(lab, l2_normalize(rng.normal(size=3)))
-        t2 = ClassCenterTable.from_snapshot(t.snapshot())
-        assert t2.num_classes == 5 and t2.phi == 0.25
-        for lab in (0, 2, 4):
-            assert np.array_equal(t.get(lab), t2.get(lab))
 
 
 class TestHyperParams:

@@ -9,7 +9,6 @@ from psearch.evaluation import (
     cmc_topk,
     evaluate_retrieval,
     gallery_sweep,
-    pr_curve,
     rank_gallery,
 )
 from psearch.numerics import l2_normalize, make_rng
@@ -150,31 +149,6 @@ class TestGallerySweep:
         rset = random_retrieval_set(rng, 4, 2, 3)
         with pytest.raises(SizeTooLarge):
             gallery_sweep(rset, [2], make_rng(0))
-
-
-class TestPrCurve:
-    def test_two_point_example(self):
-        rset = RetrievalSet(
-            queries=[(unit(1, 0), 0)],
-            gallery=[(unit(1, 0), 0), (unit(0, 1), 7)],
-        )
-        points = pr_curve(rset)
-        assert points == [(1.0, 1.0), (1.0, 0.5)]
-
-    def test_recall_reaches_one(self):
-        rng = make_rng(2)
-        rset = random_retrieval_set(rng, 4, 2, 10)
-        points = pr_curve(rset)
-        assert points[-1][0] == pytest.approx(1.0)
-        assert all(0.0 < p <= 1.0 for _, p in points)
-        recalls = [r for r, _ in points]
-        assert recalls == sorted(recalls)
-
-    def test_empty_inputs(self):
-        assert pr_curve(RetrievalSet(queries=[], gallery=[])) == []
-        orphan = RetrievalSet(queries=[(unit(1, 0), 9)],
-                              gallery=[(unit(1, 0), 0)])
-        assert pr_curve(orphan) == []
 
 
 @given(st.integers(0, 2**32))

@@ -116,14 +116,6 @@ class TestHepLoss:
         assert loss == pytest.approx(0.12692801104297250 / 2, abs=1e-15)
         assert np.all(grads[1] == 0.0)
 
-    def test_normalize_by_contributing_flag(self):
-        pool = PriorityPool(labels={0, 1}, target_size=2)
-        inside = ClassifierScores(np.array([2.0, 0.0, 0.0]), 0)
-        outside = ClassifierScores(np.array([1.0, 1.0, 1.0]), 2)
-        loss, _ = hep_loss([inside, outside], pool,
-                           normalize_by_contributing=True)
-        assert loss == pytest.approx(0.12692801104297250, abs=1e-15)
-
     def test_all_outside_pool_is_zero(self):
         pool = PriorityPool(labels={0}, target_size=1)
         loss, grads = hep_loss([ClassifierScores(np.zeros(4), 3)], pool)

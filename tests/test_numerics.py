@@ -3,14 +3,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from psearch.errors import (
-    DimensionMismatch,
     EmptyInput,
     NonFiniteFunction,
     ZeroVector,
 )
 from psearch.numerics import (
     check_gradient,
-    cosine_sim,
     l2_normalize,
     make_rng,
     softmax,
@@ -41,30 +39,6 @@ class TestL2Normalize:
         u = l2_normalize(v)
         assert abs(np.linalg.norm(u) - 1.0) < 1e-9
         assert np.allclose(l2_normalize(u), u, atol=1e-9)
-
-
-class TestCosineSim:
-    def test_orthogonal(self):
-        assert cosine_sim([1.0, 0.0], [0.0, 1.0]) == 0.0
-
-    def test_identical(self):
-        assert cosine_sim([1.0, 0.0], [1.0, 0.0]) == 1.0
-
-    def test_45_degrees(self):
-        s = np.sqrt(2) / 2
-        assert cosine_sim([s, s], [1.0, 0.0]) == pytest.approx(
-            0.7071067811865475, abs=1e-12
-        )
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            cosine_sim([1.0, 0.0], [1.0, 0.0, 0.0])
-
-    @given(finite_vecs, st.integers(0, 2**32))
-    def test_symmetric(self, v, seed):
-        a = l2_normalize(v)
-        b = l2_normalize(make_rng(seed).normal(size=len(v)))
-        assert cosine_sim(a, b) == cosine_sim(b, a)
 
 
 class TestSoftmax:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import psearch.simulator as sim
 from psearch.dictionaries import (
@@ -18,10 +19,8 @@ from psearch.simulator import (
     Schedule,
     ToyEncoder,
     generate_world,
-    load_checkpoint,
     person_observation,
     sample_image_pair,
-    save_checkpoint,
     train,
 )
 
@@ -97,12 +96,6 @@ class TestToyEncoder:
         for _ in range(10):
             x, _ = enc.encode(rng.normal(size=16))
             assert abs(np.linalg.norm(x) - 1.0) < 1e-6
-
-    def test_clone_is_independent(self):
-        enc = ToyEncoder(8, embed_dim=4, seed=0)
-        c = enc.clone()
-        c.W += 1.0
-        assert not np.array_equal(enc.W, c.W)
 
 
 def test_classifier_head_backward_finite_difference():
@@ -292,23 +285,58 @@ class TestTrain:
         assert rows[-1].dict_size > rows[0].dict_size or rows[-1].dict_size > 0
 
 
-def test_checkpoint_roundtrip(tmp_path):
-    rng = make_rng(12)
-    enc = ToyEncoder(6, embed_dim=4, seed=12)
-    d = FeatureDictionary(5)
-    for i in range(7):
-        d.push(l2_normalize(rng.normal(size=4)), i % 3)
-    t = ClassCenterTable(num_classes=3, phi=0.5)
-    for lab in range(3):
-        t.update(lab, l2_normalize(rng.normal(size=4)))
-    path = tmp_path / "ck.txt"
-    save_checkpoint(path, enc, d, t)
-    enc2, d2, t2 = load_checkpoint(path)
-    assert np.array_equal(enc.W, enc2.W)
-    assert np.array_equal(enc.b, enc2.b)
-    assert len(d2) == len(d)
-    for e1, e2 in zip(d, d2):
-        assert e1.label == e2.label
-        assert np.array_equal(e1.feature, e2.feature)
-    for lab in range(3):
-        assert np.array_equal(t.get(lab), t2.get(lab))
+def _id_keyed_batch_olp(pairs, feats, labels, dictionary):
+    """Oracle: _batch_olp's former id()-keyed anchor lookup and stable
+    (similarity, label) tuple sort; returns (grads-by-index, ranking)."""
+    subgroups, anchors = [], []
+    for pair in pairs:
+        sgs = build_subgroups([[(feats[i], labels[i]) for i in idx] for idx in pair],
+                              dictionary)
+        by_id = {id(feats[i]): i for i in [*pair[0], *pair[1]]}
+        subgroups += sgs
+        anchors += [by_id[id(sg.anchor)] for sg in sgs]
+    if not subgroups:
+        return {}, []
+    result = olp_loss(subgroups)
+    grads = {}
+    for ai, g in zip(anchors, result.anchor_gradients):
+        grads[ai] = grads.get(ai, 0.0) + g / len(subgroups)
+    sims, neg_labels = [], []
+    for sg, d_negs in zip(subgroups, result.negative_sims):
+        sims += d_negs.tolist()
+        neg_labels += sg.negative_labels
+    return grads, [lab for _, lab in sorted(zip(sims, neg_labels), key=lambda t: -t[0])]
+
+
+proposal = st.tuples(st.integers(0, 3), st.integers(LABEL_BACKGROUND, 4))
+
+
+@given(seed=st.integers(0, 2**32 - 1),
+       stored=st.lists(st.tuples(st.integers(0, 3), st.integers(LABEL_UNIDENTIFIED, 4)),
+                       max_size=30),
+       images=st.lists(st.lists(proposal, min_size=1, max_size=5), min_size=2, max_size=8))
+@settings(max_examples=200, deadline=None)
+def test_batch_olp_matches_id_keyed_tuple_sort(seed, stored, images):
+    """Features are copies of four base vectors, so equal similarities
+    (within one subgroup and across subgroups) are exact ties."""
+    base = [l2_normalize(v) for v in make_rng(seed).normal(size=(4, 3))]
+    dictionary = FeatureDictionary(25)
+    for k, lab in stored:
+        dictionary.push(base[k], lab)
+    feats, labels, pairs = [], [], []
+    for img1, img2 in zip(images[::2], images[1::2]):
+        idx = ([], [])
+        for img, out in ((img1, idx[0]), (img2, idx[1])):
+            for k, lab in img:
+                out.append(len(feats))
+                feats.append(base[k].copy())
+                labels.append(lab)
+        pairs.append(idx)
+
+    _, grads, ranked = sim._batch_olp(pairs, feats, labels, dictionary)
+    want_grads, want_ranked = _id_keyed_batch_olp(pairs, feats, labels, dictionary)
+    assert ranked == want_ranked
+    assert all(type(lab) is int for lab in ranked)
+    assert list(grads) == list(want_grads)
+    for i, g in want_grads.items():
+        assert np.array_equal(grads[i], g)
