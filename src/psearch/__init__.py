@@ -3,7 +3,6 @@ synthetic person-search trainer/evaluator."""
 
 from .dictionaries import ClassCenterTable, FeatureDictionary, HyperParams
 from .losses import (
-    ClassifierScores,
     LossBreakdown,
     OlpResult,
     c2hep_loss,
@@ -14,15 +13,15 @@ from .losses import (
     triplet_loss,
 )
 from .numerics import check_gradient, l2_normalize, make_rng, softmax
-from .pairing import PriorityPool, Subgroup, build_subgroups, select_priority_pool
+from .pairing import PriorityPool, build_subgroups, select_priority_pool
 
 __all__ = [
     "ClassCenterTable", "FeatureDictionary", "HyperParams",
-    "ClassifierScores", "LossBreakdown", "OlpResult",
+    "LossBreakdown", "OlpResult",
     "c2hep_loss", "combined_loss", "contrastive_loss", "hep_loss",
     "olp_loss", "triplet_loss",
     "check_gradient", "l2_normalize", "make_rng", "softmax",
-    "PriorityPool", "Subgroup", "build_subgroups", "select_priority_pool",
+    "PriorityPool", "build_subgroups", "select_priority_pool",
 ]
 
 __version__ = "0.1.0"

@@ -1,21 +1,25 @@
 """Self-check suites: gradient cross-checks, brute-force retrieval
 oracles, and randomized invariant sweeps. Used by the `check` CLI
-subcommand and reused by the test suite."""
+subcommand and reused by the test suite.
+
+Also holds scalar reference loops of the losses, one subgroup, sample,
+triplet or pair at a time; the array losses in losses.py are tested
+against them.
+"""
 
 from __future__ import annotations
 
 import itertools
-import logging
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dictionaries import ClassCenterTable, FeatureDictionary
-from .evaluation import average_precision, cmc_topk, rank_gallery
-from .losses import olp_loss
+from .evaluation import average_precision, cmc_topk
+from .losses import c2hep_loss, olp_loss
 from .numerics import check_gradient, l2_normalize, make_rng, softmax
-from .pairing import Subgroup, select_priority_pool
+from .pairing import PriorityPool, select_priority_pool
 
 
 @dataclass
@@ -55,6 +59,100 @@ def single_subgroup_olp(anchor, positive, negatives) -> float:
     return -math.log(math.exp(d_pos) / math.fsum(terms))
 
 
+def olp_oracle(anchors, positives, anchor_labels, dictionary: FeatureDictionary):
+    """Per-subgroup olp_loss: each subgroup copies its negatives out of
+    the dictionary and runs its own softmax. Returns (loss, anchor
+    gradients, hard ranking by a stable sort of (similarity, label))."""
+    losses, grads, ranked = [], [], []
+    for anchor, positive, label in zip(anchors, positives, anchor_labels):
+        negs, neg_labels = dictionary.negatives(int(label))
+        sims = [float(np.dot(anchor, n)) for n in negs]
+        probs = softmax([float(np.dot(anchor, positive)), *sims])
+        losses.append(-math.log(probs[0]))
+        grad = (probs[0] - 1.0) * positive
+        for n, p in zip(negs, probs[1:]):
+            grad = grad + p * n
+        grads.append(grad)
+        ranked += zip(sims, neg_labels)
+    ranked.sort(key=lambda t: -t[0])
+    return math.fsum(losses) / len(losses), np.array(grads), [lab for _, lab in ranked]
+
+
+def hep_oracle(scores, labels, pool: PriorityPool):
+    """Per-sample hep_loss; returns (loss, score gradient rows)."""
+    pooled = pool.sorted_labels()
+    terms, grads = [], []
+    for row, label in zip(scores, labels):
+        grad = np.zeros(len(row))
+        if label in pool:
+            probs = softmax(np.asarray(row)[pooled])
+            idx = pooled.index(label)
+            terms.append(-math.log(probs[idx]))
+            probs[idx] -= 1.0
+            grad[pooled] = probs / len(labels)
+        grads.append(grad)
+    return math.fsum(terms) / len(labels), np.array(grads)
+
+
+def c2hep_oracle(features, labels, pool: PriorityPool, table: ClassCenterTable, lam: float):
+    """Per-sample c2hep_loss; returns (loss, feature gradient rows)."""
+    pooled = [lab for lab in pool.sorted_labels() if lab >= 0 and table.has(lab)]
+    centers = [l2_normalize(table.get(lab)) for lab in pooled]
+    terms, grads = [], []
+    for x, label in zip(features, labels):
+        probs = softmax([lam * float(np.dot(c, x)) for c in centers])
+        idx = pooled.index(label)
+        terms.append(-math.log(probs[idx]))
+        probs[idx] -= 1.0
+        grads.append(lam * sum(p * c for p, c in zip(probs, centers)) / len(labels))
+    return math.fsum(terms) / len(labels), np.array(grads)
+
+
+def triplet_oracle(features, labels, margin: float):
+    """Per-triplet triplet_loss; returns (loss, feature gradient rows)."""
+    rows = range(len(labels))
+    terms, active = [], []
+    for a in rows:
+        for p in rows:
+            if labels[a] < 0 or p == a or labels[p] != labels[a]:
+                continue
+            for n in rows:
+                if labels[n] == labels[a]:
+                    continue
+                val = max(0.0, margin - float(np.dot(features[a], features[p]))
+                          + float(np.dot(features[a], features[n])))
+                terms.append(val)
+                if val > 0.0:
+                    active.append((a, p, n))
+    grads = np.zeros((len(labels), np.shape(features)[-1]))
+    for a, p, n in active:
+        grads[a] += (features[n] - features[p]) / len(terms)
+        grads[p] -= features[a] / len(terms)
+        grads[n] += features[a] / len(terms)
+    return (math.fsum(terms) / len(terms) if terms else 0.0), grads
+
+
+def contrastive_oracle(features, labels, margin: float):
+    """Per-pair contrastive_loss; returns (loss, feature gradient rows)."""
+    labeled = [i for i in range(len(labels)) if labels[i] >= 0]
+    pairs = list(itertools.combinations(labeled, 2))
+    grads = np.zeros((len(labels), np.shape(features)[-1]))
+    loss = 0.0
+    for same in (True, False):
+        chosen = [(i, j) for i, j in pairs if (labels[i] == labels[j]) == same]
+        terms = []
+        for i, j in chosen:
+            d = float(np.dot(features[i], features[j]))
+            terms.append(1.0 - d if same else max(0.0, d - margin))
+            if same or d - margin > 0.0:
+                sign = -1.0 if same else 1.0
+                grads[i] += sign * features[j] / len(chosen)
+                grads[j] += sign * features[i] / len(chosen)
+        if chosen:
+            loss += math.fsum(terms) / len(chosen)
+    return loss, grads
+
+
 def run_gradient_checks(trials: int = 100, seed: int = 12345) -> CheckResult:
     """Analytic anchor gradient vs central differences over random
     configurations (dimension 8..256, negatives 1..64)."""
@@ -66,8 +164,7 @@ def run_gradient_checks(trials: int = 100, seed: int = 12345) -> CheckResult:
         anchor = l2_normalize(rng.normal(size=dim))
         positive = l2_normalize(rng.normal(size=dim))
         negatives = [l2_normalize(rng.normal(size=dim)) for _ in range(k)]
-        sg = Subgroup(anchor, positive, negatives, 0, [1] * k)
-        result = olp_loss([sg])
+        result = olp_loss(anchor[None], positive[None], [0], np.array(negatives), [1] * k)
         err = check_gradient(
             lambda a: single_subgroup_olp(a, positive, negatives),
             anchor,
@@ -134,40 +231,31 @@ def run_invariant_checks(trials: int = 1000, seed: int = 777) -> list[CheckResul
             ok = False
             break
         expect = pushed[-min(cap, n):] if n else []
-        got = [e.feature for e in d]
+        got = d.matrix()[0]
         if any(not np.allclose(a, b) for a, b in zip(expect, got)):
             ok = False
             break
     results.append(CheckResult("fifo-capacity-and-recency", ok, f"{trials} trials"))
 
-    # priority pool size and forced membership; the trials deliberately
-    # produce overfull pools, so mute that warning here
+    # priority pool size and forced membership
     ok = True
-    pairing_log = logging.getLogger("psearch.pairing")
-    old_level = pairing_log.level
-    pairing_log.setLevel(logging.ERROR)
-    try:
-        for _ in range(trials):
-            num_classes = int(rng.integers(2, 50))
-            t_size = int(rng.integers(1, 30))
-            gt = set(int(v) for v in rng.choice(num_classes,
-                     size=int(rng.integers(0, min(5, num_classes) + 1)), replace=False))
-            hard = [int(v) for v in rng.integers(-1, num_classes, size=6)]
-            pool = select_priority_pool(gt, hard, t_size, 3, num_classes, rng)
-            if not gt <= pool.labels:
-                ok = False
-                break
-            expected = min(t_size, num_classes)
-            if len(gt) <= t_size and len(pool) != expected:
-                ok = False
-                break
-    finally:
-        pairing_log.setLevel(old_level)
+    for _ in range(trials):
+        num_classes = int(rng.integers(2, 50))
+        t_size = int(rng.integers(1, 30))
+        gt = set(int(v) for v in rng.choice(num_classes,
+                 size=int(rng.integers(0, min(5, num_classes) + 1)), replace=False))
+        hard = [int(v) for v in rng.integers(-1, num_classes, size=6)]
+        pool = select_priority_pool(gt, hard, t_size, 3, num_classes, rng)
+        if not gt <= pool.labels:
+            ok = False
+            break
+        expected = min(t_size, num_classes)
+        if len(gt) <= t_size and len(pool) != expected:
+            ok = False
+            break
     results.append(CheckResult("priority-pool-rules", ok, f"{trials} trials"))
 
     # center-scale invariance of the center-based loss
-    from .losses import c2hep_loss
-    from .pairing import PriorityPool
     worst = 0.0
     for _ in range(trials // 10):
         dim = 8
@@ -176,9 +264,9 @@ def run_invariant_checks(trials: int = 1000, seed: int = 777) -> list[CheckResul
             table.centers[lab] = l2_normalize(rng.normal(size=dim))
         x = l2_normalize(rng.normal(size=dim))
         pool = PriorityPool(labels={0, 1, 2, 3}, target_size=4)
-        base, _ = c2hep_loss([(x, 2)], pool, table, lam=10.0)
+        base, _ = c2hep_loss(x[None], [2], pool, table, lam=10.0)
         table.centers[1] = table.centers[1] * 3.0
-        scaled, _ = c2hep_loss([(x, 2)], pool, table, lam=10.0)
+        scaled, _ = c2hep_loss(x[None], [2], pool, table, lam=10.0)
         worst = max(worst, abs(base - scaled))
     results.append(CheckResult("center-scale-invariance", worst <= 1e-9,
                                f"max |delta| = {worst:.3e}"))
@@ -204,11 +292,14 @@ def run_invariant_checks(trials: int = 1000, seed: int = 777) -> list[CheckResul
     return results
 
 
+SUITES = {
+    "gradients": lambda: [run_gradient_checks()],
+    "oracles": lambda: [run_oracle_checks()],
+    "invariants": run_invariant_checks,
+}
+
+
 def run_suite(suite: str) -> list[CheckResult]:
-    if suite == "gradients":
-        return [run_gradient_checks()]
-    if suite == "oracles":
-        return [run_oracle_checks()]
-    if suite == "invariants":
-        return run_invariant_checks()
-    raise ValueError(f"unknown check suite {suite!r}")
+    if suite not in SUITES:
+        raise ValueError(f"unknown check suite {suite!r}")
+    return SUITES[suite]()

@@ -12,7 +12,7 @@ import argparse
 import os
 import sys
 
-from .checks import run_suite
+from .checks import SUITES, run_suite
 from .config import (
     ExperimentConfig,
     apply_override,
@@ -74,7 +74,7 @@ def main(argv=None) -> int:
     _add_config_flags(p_gal)
 
     p_chk = sub.add_parser("check", help="run a self-check suite")
-    p_chk.add_argument("suite", choices=("gradients", "oracles", "invariants"))
+    p_chk.add_argument("suite", choices=tuple(SUITES))
 
     args = parser.parse_args(argv)
     try:

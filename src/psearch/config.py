@@ -8,8 +8,8 @@ import hashlib
 from dataclasses import dataclass, fields
 
 from .dictionaries import HyperParams
-from .errors import ConfigError
-from .simulator import IMAGES_PER_ITER, LOSS_CHOICES
+from .errors import ConfigError, InvalidParams
+from .simulator import IMAGES_PER_ITER, LOSS_CHOICES, check_world
 
 
 @dataclass
@@ -47,8 +47,10 @@ class ExperimentConfig:
     def validate(self) -> None:
         if self.seed < 0:
             raise ConfigError("seed: must be >= 0")
-        if self.num_identities < 2:
-            raise ConfigError("num_identities: must be >= 2")
+        try:
+            check_world(self.num_identities, self.latent_dim, self.obs_dim)
+        except InvalidParams as exc:
+            raise ConfigError(str(exc)) from exc
         if self.images_per_iter not in IMAGES_PER_ITER:
             raise ConfigError(f"images_per_iter: must be one of {IMAGES_PER_ITER}")
         if self.proposals_per_image < 1:
@@ -67,6 +69,12 @@ class ExperimentConfig:
             )
         if not (0.0 <= self.lr_drop_frac <= 1.0):
             raise ConfigError("lr_drop_frac: must be in [0, 1]")
+        if self.query_count < 1:
+            raise ConfigError("query_count: must be >= 1")
+        if self.gallery_per_identity < 1:
+            raise ConfigError("gallery_per_identity: must be >= 1")
+        if self.distractors < 0:
+            raise ConfigError("distractors: must be >= 0")
         for part in self.gallery_sizes.split(","):
             if part.strip() and not part.strip().isdigit():
                 raise ConfigError(f"gallery_sizes: bad entry {part.strip()!r}")

@@ -8,7 +8,7 @@ center per identity, blended progressively and renormalized.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -17,12 +17,6 @@ from .numerics import ZERO_NORM_EPS, l2_normalize
 
 LABEL_UNIDENTIFIED = -1  # person without identity annotation
 LABEL_BACKGROUND = -2    # never stored in any dictionary
-
-
-@dataclass(frozen=True)
-class DictionaryEntry:
-    feature: np.ndarray
-    label: int
 
 
 @dataclass
@@ -52,8 +46,8 @@ class HyperParams:
 class FeatureDictionary:
     """Fixed-capacity FIFO buffer of (feature, label) entries.
 
-    Backed by a ring buffer so negatives come back as one stacked
-    matrix; entries are always exposed in insertion order.
+    Backed by a ring buffer that is read back as one stacked matrix;
+    entries are always exposed in insertion order.
     """
 
     def __init__(self, capacity: int):
@@ -75,10 +69,6 @@ class FeatureDictionary:
         return np.concatenate([np.arange(self._head, self.capacity),
                                np.arange(self._head)])
 
-    def __iter__(self) -> Iterator[DictionaryEntry]:
-        for slot in self._order():
-            yield DictionaryEntry(self._feats[slot], int(self._labels[slot]))
-
     def push(self, feature, label: int) -> None:
         """Append an entry, evicting the oldest when over capacity."""
         if label < LABEL_UNIDENTIFIED:
@@ -95,6 +85,13 @@ class FeatureDictionary:
         self._feats[slot] = feat
         self._labels[slot] = int(label)
 
+    def matrix(self):
+        """Every entry in insertion order: (feature matrix, label array)."""
+        if self._size == 0:
+            return np.zeros((0, 0)), np.zeros(0, dtype=np.int64)
+        order = self._order()
+        return self._feats[order], self._labels[order]
+
     def negatives(self, anchor_label: int):
         """Features of entries whose label differs from anchor_label.
 
@@ -103,11 +100,9 @@ class FeatureDictionary:
         """
         if anchor_label < 0:
             raise InvalidLabel("anchor must carry an identity label")
-        if self._size == 0:
-            return np.zeros((0, 0)), []
-        order = self._order()
-        keep = order[self._labels[order] != anchor_label]
-        return self._feats[keep], [int(v) for v in self._labels[keep]]
+        feats, labels = self.matrix()
+        keep = labels != anchor_label
+        return feats[keep], labels[keep].tolist()
 
 
 @dataclass

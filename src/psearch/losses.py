@@ -2,9 +2,11 @@
 losses (classifier-score and class-center variants), combined objective,
 and triplet/contrastive baselines for ablations.
 
-All losses take unit-norm float64 features. Gradients are reported at
-the normalized-feature level; stored dictionary features and class
-centers are constants in every backward pass.
+Every loss works on one iteration's rows at once: a feature (or score)
+matrix with one row per proposal and an int label array. Features are
+unit-norm float64. Gradients are reported at the normalized-feature (or
+score) level as one matrix matching the input rows; stored dictionary
+features and class centers are constants in every backward pass.
 """
 
 from __future__ import annotations
@@ -17,22 +19,16 @@ import numpy as np
 from .dictionaries import ClassCenterTable, HyperParams
 from .errors import EmptyPool, EmptySubgroups, UninitializedCenter
 from .numerics import l2_normalize, softmax
-from .pairing import PriorityPool, Subgroup
+from .pairing import PriorityPool
 
 
 @dataclass
 class OlpResult:
     loss: float
-    q: list[float]                      # positive-pair probability per subgroup
-    q_hat: list[np.ndarray]             # negative-pair probabilities per subgroup
-    negative_sims: list[np.ndarray]     # anchor-negative cosines per subgroup
-    anchor_gradients: list[np.ndarray]  # d(loss_i)/d(anchor_i), unaveraged
-
-
-@dataclass
-class ClassifierScores:
-    scores: np.ndarray  # length C+1, identities plus background
-    label: int
+    q: np.ndarray                 # (m,) positive-pair probability per subgroup
+    q_hat: np.ndarray             # (m, K) negative-pair probabilities, 0 where masked
+    anchor_gradients: np.ndarray  # (m, dim) d(loss_i)/d(anchor_i), unaveraged
+    hard_ranked: list[int]        # negative labels by descending anchor similarity
 
 
 @dataclass
@@ -43,85 +39,80 @@ class LossBreakdown:
     total: float
 
 
-def olp_loss(subgroups: list[Subgroup]) -> OlpResult:
-    """Softmax metric loss: one positive pair against K dictionary negatives.
+def olp_loss(anchors, positives, anchor_labels, negatives, negative_labels) -> OlpResult:
+    """Softmax metric loss: each positive pair against the dictionary.
 
-    Per subgroup the positive-pair similarity competes with every
+    Row i of anchors/positives is one subgroup. negatives is the whole
+    dictionary in insertion order; its entries labeled anchor_labels[i]
+    are masked out of row i (entries labeled -1 always qualify). Per
+    subgroup the positive-pair similarity competes with every remaining
     negative-pair similarity in one softmax; the loss is the mean
     negative log of the positive share. The anchor gradient is
-    (q - 1) * positive + sum_k q_hat_k * negative_k.
+    (q - 1) * positive + sum_k q_hat_k * negative_k. hard_ranked lists the
+    labels of every unmasked (subgroup, negative) similarity, highest
+    first; ties keep subgroup, then dictionary, order.
     """
-    if not subgroups:
+    anchors = np.asarray(anchors, dtype=np.float64)
+    if len(anchors) == 0:
         raise EmptySubgroups("need at least one subgroup")
-    losses = []
-    qs: list[float] = []
-    qhats: list[np.ndarray] = []
-    neg_sims: list[np.ndarray] = []
-    grads: list[np.ndarray] = []
-    for sg in subgroups:
-        d_pos = float(np.dot(sg.anchor, sg.positive))
-        if len(sg.negatives):
-            neg_mat = np.asarray(sg.negatives)
-            d_negs = neg_mat @ sg.anchor
-        else:
-            neg_mat = np.zeros((0, sg.anchor.size))
-            d_negs = np.zeros(0)
-        probs = softmax(np.concatenate(([d_pos], d_negs)))
-        q = float(probs[0])
-        q_hat = probs[1:]
-        losses.append(-math.log(q))
-        grad = (q - 1.0) * sg.positive + neg_mat.T @ q_hat
-        qs.append(q)
-        qhats.append(q_hat)
-        neg_sims.append(d_negs)
-        grads.append(grad)
-    loss = math.fsum(losses) / len(subgroups)
-    return OlpResult(loss=loss, q=qs, q_hat=qhats, negative_sims=neg_sims,
-                     anchor_gradients=grads)
+    negatives = np.reshape(negatives, (-1, anchors.shape[1]))
+    negative_labels = np.asarray(negative_labels)
+    keep = negative_labels[None, :] != np.asarray(anchor_labels)[:, None]
+    sims = anchors @ negatives.T
+    d_pos = np.vecdot(anchors, positives)
+    probs = softmax(np.column_stack([d_pos, np.where(keep, sims, -np.inf)]))
+    q, q_hat = probs[:, 0], probs[:, 1:]
+    grads = (q - 1.0)[:, None] * positives + q_hat @ negatives
+    order = np.argsort(-sims[keep], kind="stable")
+    ranked = np.broadcast_to(negative_labels, sims.shape)[keep][order]
+    return OlpResult(loss=math.fsum(-np.log(q)) / len(anchors), q=q, q_hat=q_hat,
+                     anchor_gradients=grads, hard_ranked=ranked.tolist())
 
 
-def hep_loss(
-    samples: list[ClassifierScores],
-    pool: PriorityPool,
-) -> tuple[float, list[np.ndarray]]:
-    """Cross-entropy over classifier scores restricted to the pool classes.
+def _pooled_cross_entropy(scores, pos, n):
+    """Cross-entropy of score rows against column pos of each row, summed
+    and divided by n; returns (loss, d loss / d scores)."""
+    probs = softmax(scores)
+    rows = np.arange(len(pos))
+    loss = math.fsum(-np.log(probs[rows, pos])) / n
+    probs[rows, pos] -= 1.0
+    return loss, probs / n
 
-    Samples whose label is outside the pool contribute zero loss and
-    zero gradient but still count in the normalization, which divides
-    by the total sample count.
+
+def hep_loss(scores, labels, pool: PriorityPool) -> tuple[float, np.ndarray]:
+    """Cross-entropy over classifier score rows restricted to the pool.
+
+    Row i holds the C+1 scores (identities plus background) of a sample
+    labeled labels[i]. Samples whose label is outside the pool contribute
+    zero loss and zero gradient but still count in the normalization,
+    which divides by the total sample count.
     """
     if len(pool) == 0:
         raise EmptyPool("priority pool is empty")
-    pooled = pool.sorted_labels()
-    pos_of = {lab: i for i, lab in enumerate(pooled)}
-    n = len(samples)
-    terms = []
-    grads = []
-    for s in samples:
-        grad = np.zeros_like(np.asarray(s.scores, dtype=np.float64))
-        if s.label in pool:
-            sub = np.asarray(s.scores, dtype=np.float64)[pooled]
-            probs = softmax(sub)
-            idx = pos_of[s.label]
-            terms.append(-math.log(float(probs[idx])))
-            sub_grad = probs.copy()
-            sub_grad[idx] -= 1.0
-            grad[pooled] = sub_grad / n
-        grads.append(grad)
-    loss = math.fsum(terms) / n if n else 0.0
+    scores = np.asarray(scores, dtype=np.float64)
+    labels = np.asarray(labels)
+    pooled = np.array(pool.sorted_labels())
+    grads = np.zeros_like(scores)
+    inside = np.flatnonzero(np.isin(labels, pooled))
+    if inside.size == 0:
+        return 0.0, grads
+    loss, sub_grads = _pooled_cross_entropy(
+        scores[np.ix_(inside, pooled)], np.searchsorted(pooled, labels[inside]), len(labels))
+    grads[np.ix_(inside, pooled)] = sub_grads
     return loss, grads
 
 
 def c2hep_loss(
-    features: list[tuple[np.ndarray, int]],
+    features,
+    labels,
     pool: PriorityPool,
     table: ClassCenterTable,
     lam: float,
-) -> tuple[float, list[np.ndarray]]:
+) -> tuple[float, np.ndarray]:
     """Center-based pooled softmax loss with temperature lam.
 
-    Scores are lam * cosine(feature, class center) over the pool
-    classes; cross-entropy against the sample's own class. Pool classes
+    Scores are lam * cosine(feature row, class center) over the pool
+    classes; cross-entropy against the row's own class. Pool classes
     whose center is still uninitialized are skipped (they have no score
     source yet); a sample whose own label lacks a center is an error.
     Gradients flow to features only; centers are constants here and
@@ -132,36 +123,64 @@ def c2hep_loss(
     pooled = [lab for lab in pool.sorted_labels() if lab >= 0 and table.has(lab)]
     if not pooled:
         raise EmptyPool("no pooled class has an initialized center")
+    features = np.asarray(features, dtype=np.float64)
+    labels = np.asarray(labels)
+    missing = np.setdiff1d(labels, pooled)
+    if missing.size:
+        raise UninitializedCenter(f"sample label {missing[0]} not in pool")
     center_mat = np.stack([l2_normalize(table.get(lab)) for lab in pooled])
-    pos_of = {lab: i for i, lab in enumerate(pooled)}
-    n = len(features)
-    terms = []
-    grads = []
-    for x, label in features:
-        if label not in pos_of:
-            raise UninitializedCenter(f"sample label {label} not in pool")
-        probs = softmax(lam * (center_mat @ x))
-        idx = pos_of[label]
-        terms.append(-math.log(float(probs[idx])))
-        coeff = probs.copy()
-        coeff[idx] -= 1.0
-        grads.append(lam * (center_mat.T @ coeff) / n)
-    return math.fsum(terms) / n, grads
+    loss, dscores = _pooled_cross_entropy(
+        lam * (features @ center_mat.T), np.searchsorted(pooled, labels), len(labels))
+    return loss, lam * (dscores @ center_mat)
 
 
-def triplet_loss(a, p, n, margin: float = 0.3) -> float:
-    """Cosine-similarity hinge: max(0, margin - d(a,p) + d(a,n))."""
-    d_ap = float(np.dot(a, p))
-    d_an = float(np.dot(a, n))
-    return max(0.0, margin - d_ap + d_an)
+def triplet_loss(features, labels, margin: float = 0.3) -> tuple[float, np.ndarray]:
+    """Mean cosine hinge max(0, margin - d(a,p) + d(a,n)) over every
+    in-batch triplet: anchor a labeled >= 0, positive p != a with a's
+    label, negative n with any other label (-1 included). Returns
+    (loss, feature gradients); (0, zeros) when no triplet exists."""
+    features = np.asarray(features, dtype=np.float64)
+    labels = np.asarray(labels)
+    same = labels[:, None] == labels[None, :]
+    pos = same & (labels[:, None] >= 0) & ~np.eye(len(labels), dtype=bool)
+    triplets = pos[:, :, None] & ~same[:, None, :]
+    if not triplets.any():
+        return 0.0, np.zeros_like(features)
+    gram = features @ features.T
+    hinge = margin - gram[:, :, None] + gram[:, None, :]
+    n = int(triplets.sum())
+    active = triplets & (hinge > 0.0)
+    # d/d a = x_n - x_p, d/d p = -x_a, d/d n = x_a, per active triplet
+    weight = active.sum(axis=1) - active.sum(axis=2)
+    grads = (weight + weight.T) @ features / n
+    return math.fsum(np.maximum(hinge[triplets], 0.0)) / n, grads
 
 
-def contrastive_loss(x1, x2, same_identity: bool, margin: float = 0.5) -> float:
-    """Same identity: 1 - d; different: max(0, d - margin)."""
-    d = float(np.dot(x1, x2))
-    if same_identity:
-        return 1.0 - d
-    return max(0.0, d - margin)
+def contrastive_loss(features, labels, margin: float = 0.5) -> tuple[float, np.ndarray]:
+    """In-batch contrastive loss over rows labeled >= 0: 1 - d for
+    same-identity pairs, max(0, d - margin) for different ones.
+
+    Positive and negative pairs are averaged separately so the few
+    same-identity pairs are not drowned out by the quadratic number of
+    different-identity pairs. Returns (loss, feature gradients).
+    """
+    features = np.asarray(features, dtype=np.float64)
+    labels = np.asarray(labels)
+    upper = np.triu(np.ones((len(labels), len(labels)), dtype=bool), 1)
+    upper &= (labels[:, None] >= 0) & (labels[None, :] >= 0)
+    same = labels[:, None] == labels[None, :]
+    pos, neg = upper & same, upper & ~same
+    gram = features @ features.T
+    loss = 0.0
+    weight = np.zeros_like(gram)  # d loss / d gram over pairs i < j
+    if pos.any():
+        loss += math.fsum(1.0 - gram[pos]) / pos.sum()
+        weight -= pos / pos.sum()
+    if neg.any():
+        hinge = gram - margin
+        loss += math.fsum(np.maximum(hinge[neg], 0.0)) / neg.sum()
+        weight += (neg & (hinge > 0.0)) / neg.sum()
+    return loss, (weight + weight.T) @ features
 
 
 def combined_loss(det: float, olp: float, id_loss: float, hp: HyperParams) -> LossBreakdown:

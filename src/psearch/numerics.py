@@ -42,15 +42,19 @@ def l2_normalize(v) -> np.ndarray:
 
 
 def softmax(scores) -> np.ndarray:
-    """Stable softmax with max-subtraction."""
+    """Stable softmax along the last axis, with max-subtraction.
+
+    A -inf score masks its entry out (probability exactly 0); NaN, +inf
+    and rows without a finite score raise NonFiniteFunction.
+    """
     scores = np.asarray(scores, dtype=np.float64)
     if scores.size == 0:
         raise EmptyInput("softmax of empty score vector")
-    if not np.all(np.isfinite(scores)):
+    top = np.max(scores, axis=-1, keepdims=True)
+    if np.isnan(scores).any() or not np.all(np.isfinite(top)):
         raise NonFiniteFunction("non-finite scores")
-    shifted = scores - np.max(scores)
-    exps = np.exp(shifted)
-    return exps / np.sum(exps)
+    exps = np.exp(scores - top)
+    return exps / np.sum(exps, axis=-1, keepdims=True)
 
 
 def check_gradient(

@@ -1,31 +1,19 @@
 """Subgroup construction and priority-class pool selection.
 
-A subgroup is one anchor, its positive partner (same identity), and all
-eligible dictionary negatives. The priority pool is the set of class
-labels used by the restricted-softmax identity losses: ground-truth
-labels, the hardest negative classes, and random fill.
+A subgroup is one anchor proposal and its positive partner (same
+identity); the metric loss scores it against every dictionary entry of
+another label. The priority pool is the set of class labels used by the
+restricted-softmax identity losses: ground-truth labels, the hardest
+negative classes, and random fill.
 """
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dictionaries import FeatureDictionary
 from .errors import InvalidParams
-
-log = logging.getLogger(__name__)
-
-
-@dataclass
-class Subgroup:
-    anchor: np.ndarray
-    positive: np.ndarray
-    negatives: list[np.ndarray]
-    anchor_label: int
-    negative_labels: list[int]
 
 
 @dataclass
@@ -43,37 +31,28 @@ class PriorityPool:
         return len(self.labels)
 
 
-def same_label_pairs(labels: list[int]) -> list[tuple[int, int]]:
-    """Index pairs i < j of proposals sharing an identity label >= 0, in
-    the order build_subgroups forms their subgroups."""
-    return [(i, j) for i in range(len(labels)) if labels[i] >= 0
-            for j in range(i + 1, len(labels)) if labels[j] == labels[i]]
+def build_subgroups(image_labels: list[np.ndarray]) -> np.ndarray:
+    """(anchor, positive) row pairs of one iteration's subgroups, as an
+    (m, 2) int array.
 
-
-def build_subgroups(
-    batch: list[list[tuple[np.ndarray, int]]],
-    dictionary: FeatureDictionary,
-) -> list[Subgroup]:
-    """Form symmetric subgroups from a two-image proposal batch.
-
-    Every pair of distinct proposals sharing an identity label >= 0
-    yields two subgroups (each member as anchor once). Background (-2)
-    and unlabeled (-1) proposals never pair. Negatives come from the
-    dictionary; same-label entries are excluded there.
+    image_labels holds one label array per image; images 2t and 2t+1
+    form a pair, and rows count through all images in order. Every two
+    distinct proposals of one pair sharing an identity label >= 0 yield
+    two subgroups, each member anchoring once, ordered by pair, then by
+    first and second member. Background (-2) and unlabeled (-1)
+    proposals never pair.
     """
-    if len(batch) != 2:
-        raise InvalidParams(f"batch must hold exactly two images, got {len(batch)}")
-    proposals = [p for image in batch for p in image]
-    subgroups: list[Subgroup] = []
-    neg_cache: dict[int, tuple] = {}
-    for i, j in same_label_pairs([lab for _, lab in proposals]):
-        (fi, label), (fj, _) = proposals[i], proposals[j]
-        if label not in neg_cache:
-            neg_cache[label] = dictionary.negatives(label)
-        negs, neg_labels = neg_cache[label]
-        subgroups.append(Subgroup(fi, fj, negs, label, neg_labels))
-        subgroups.append(Subgroup(fj, fi, negs, label, neg_labels))
-    return subgroups
+    if len(image_labels) % 2:
+        raise InvalidParams(f"images must come in pairs, got {len(image_labels)}")
+    subgroups = [np.zeros((0, 2), dtype=np.int64)]
+    start = 0
+    for first, second in zip(image_labels[::2], image_labels[1::2]):
+        labels = np.concatenate([first, second])
+        same = np.triu(labels[:, None] == labels[None, :], 1) & (labels[:, None] >= 0)
+        pairs = np.argwhere(same) + start
+        subgroups.append(np.stack([pairs, pairs[:, ::-1]], axis=1).reshape(-1, 2))
+        start += labels.size
+    return np.concatenate(subgroups)
 
 
 def select_priority_pool(
@@ -91,18 +70,13 @@ def select_priority_pool(
     to their anchors. Labels -1 in the ranking are skipped. extra_labels
     (e.g. a background class index) are always included. If ground truth
     alone exceeds pool_size the pool keeps everything and may exceed the
-    target; the event is logged, never silently dropped.
+    target; train() counts those iterations and logs them once per run.
     """
     for lab in gt_labels:
         if not (0 <= lab < num_classes):
             raise InvalidParams(f"ground-truth label {lab} outside [0, {num_classes})")
     pool = set(gt_labels) | set(extra_labels)
     target = min(pool_size, num_classes + len(extra_labels))
-    if len(pool) > target:
-        log.warning(
-            "priority pool overfull: %d forced members exceed target %d",
-            len(pool), target,
-        )
     taken = 0
     for lab in hard_negative_labels:
         if taken >= top_negatives or len(pool) >= target:

@@ -9,6 +9,7 @@ camera offset, which models cross-view intra-class variation.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 
@@ -23,7 +24,6 @@ from .dictionaries import (
 )
 from .errors import DivergenceDetected, InvalidParams
 from .losses import (
-    ClassifierScores,
     c2hep_loss,
     combined_loss,
     contrastive_loss,
@@ -32,7 +32,9 @@ from .losses import (
     triplet_loss,
 )
 from .numerics import l2_normalize, make_rng
-from .pairing import build_subgroups, same_label_pairs, select_priority_pool
+from .pairing import build_subgroups, select_priority_pool
+
+log = logging.getLogger(__name__)
 
 EMBED_DIM = 256
 
@@ -66,8 +68,18 @@ class SyntheticWorld:
 
 @dataclass
 class SceneImage:
-    proposals: list[tuple[np.ndarray, int]]
-    camera_offset: np.ndarray
+    obs: np.ndarray     # (proposals, obs_dim), one observation per row
+    labels: np.ndarray  # (proposals,) int: identity, -1 unlabeled, -2 background
+
+
+def check_world(num_identities: int, latent_dim: int, obs_dim: int) -> None:
+    """The world sizes generate_world can build; InvalidParams otherwise."""
+    if num_identities < 2:
+        raise InvalidParams("num_identities: must be >= 2 for a retrieval task")
+    if latent_dim < 2:
+        raise InvalidParams("latent_dim: must be >= 2")
+    if obs_dim < 2 * latent_dim:
+        raise InvalidParams("obs_dim: must be >= 2 * latent_dim for disjoint subspaces")
 
 
 def generate_world(
@@ -81,12 +93,7 @@ def generate_world(
     seed: int = 0,
 ) -> SyntheticWorld:
     """Deterministic world from seed; prototypes unit-norm and distinct."""
-    if num_identities < 2:
-        raise InvalidParams("need at least two identities for a retrieval task")
-    if latent_dim < 2 or obs_dim < 2:
-        raise InvalidParams("dimensions must be >= 2")
-    if obs_dim < 2 * latent_dim:
-        raise InvalidParams("obs_dim must be >= 2 * latent_dim for disjoint subspaces")
+    check_world(num_identities, latent_dim, obs_dim)
     rng = make_rng(seed)
     protos = rng.normal(size=(num_identities, latent_dim))
     protos /= np.linalg.norm(protos, axis=1, keepdims=True)
@@ -155,23 +162,27 @@ def sample_image_pair(
     images = []
     for _ in range(2):
         offset = draw_camera_offset(world, rng)
-        proposals: list[tuple[np.ndarray, int]] = []
-        for ident in shared:
-            obs = person_observation(world, world.prototypes[ident], offset, rng)
-            proposals.append((obs, int(ident)))
-        while len(proposals) < proposals_per_image:
-            u = rng.random()
-            if u < world.background_fraction:
-                proposals.append((rng.normal(size=world.obs_dim), LABEL_BACKGROUND))
-            elif u < world.background_fraction + world.unlabeled_fraction:
-                anon = l2_normalize(rng.normal(size=world.latent_dim))
-                obs = person_observation(world, anon, offset, rng)
-                proposals.append((obs, LABEL_UNIDENTIFIED))
+        obs = np.empty((proposals_per_image, world.obs_dim))
+        labels = np.empty(proposals_per_image, dtype=np.int64)
+        for k in range(proposals_per_image):
+            if k < n_shared:
+                label = int(shared[k])
             else:
-                ident = int(rng.integers(world.num_identities))
-                obs = person_observation(world, world.prototypes[ident], offset, rng)
-                proposals.append((obs, ident))
-        images.append(SceneImage(proposals=proposals, camera_offset=offset))
+                u = rng.random()
+                if u < world.background_fraction:
+                    label = LABEL_BACKGROUND
+                elif u < world.background_fraction + world.unlabeled_fraction:
+                    label = LABEL_UNIDENTIFIED
+                else:
+                    label = int(rng.integers(world.num_identities))
+            labels[k] = label
+            if label == LABEL_BACKGROUND:
+                obs[k] = rng.normal(size=world.obs_dim)
+            else:
+                proto = (world.prototypes[label] if label >= 0
+                         else l2_normalize(rng.normal(size=world.latent_dim)))
+                obs[k] = person_observation(world, proto, offset, rng)
+        images.append(SceneImage(obs=obs, labels=labels))
     return images[0], images[1]
 
 
@@ -186,21 +197,23 @@ class ToyEncoder:
         self.b = np.zeros(embed_dim)
 
     def encode(self, obs: np.ndarray):
-        """Returns (unit feature, cache for backward)."""
-        z = self.W @ obs + self.b
-        norm = float(np.linalg.norm(z))
+        """Unit features of observation rows (or of one observation),
+        and the cache for backward."""
+        z = obs @ self.W.T + self.b
+        norm = np.sqrt(np.vecdot(z, z))[..., None]
         x = z / norm
         return x, (obs, x, norm)
 
     def backward(self, cache, dx: np.ndarray):
-        """Gradient of the pre-normalization affine parameters.
+        """Gradient of the pre-normalization affine parameters, summed
+        over the rows of dx.
 
-        Chains dx through the normalization Jacobian (I - x x^T)/||z||.
+        Chains each row through the normalization Jacobian (I - x x^T)/||z||.
         Returns (dW, db).
         """
         obs, x, norm = cache
-        dz = (dx - x * float(np.dot(x, dx))) / norm
-        return np.outer(dz, obs), dz
+        dz = (dx - x * np.vecdot(x, dx)[..., None]) / norm
+        return dz.T @ obs, dz.sum(axis=0)
 
 
 class ClassifierHead:
@@ -213,11 +226,12 @@ class ClassifierHead:
         self.c = np.zeros(num_classes + 1)
 
     def scores(self, x: np.ndarray) -> np.ndarray:
-        return self.A @ x + self.c
+        """Score rows for feature rows."""
+        return x @ self.A.T + self.c
 
     def backward(self, x: np.ndarray, dscores: np.ndarray):
-        """Returns (dA, dc, dx)."""
-        return np.outer(dscores, x), dscores, self.A.T @ dscores
+        """Returns (dA, dc, dx), dA and dc summed over the rows."""
+        return dscores.T @ x, dscores.sum(axis=0), dscores @ self.A
 
 
 @dataclass
@@ -244,101 +258,6 @@ class Schedule:
         return self.lr_final
 
 
-def _batch_olp(pairs, feats, labels, dictionary):
-    """OLP over all image pairs; returns (loss, grads-by-index, hard ranking).
-    The ranking is all negative labels by descending anchor similarity;
-    ties keep subgroup, then dictionary, order."""
-    subgroups = []
-    anchors: list[int] = []  # proposal index of each subgroup's anchor
-    for pair in pairs:
-        subgroups += build_subgroups(
-            [[(feats[i], labels[i]) for i in idx] for idx in pair], dictionary)
-        flat = [*pair[0], *pair[1]]
-        for i, j in same_label_pairs([labels[k] for k in flat]):
-            anchors += (flat[i], flat[j])
-    if not subgroups:
-        return 0.0, {}, []
-    result = olp_loss(subgroups)
-    m = len(subgroups)
-    grads: dict[int, np.ndarray] = {}
-    for ai, g in zip(anchors, result.anchor_gradients):
-        grads[ai] = grads.get(ai, 0.0) + g / m
-    order = np.argsort(-np.concatenate(result.negative_sims), kind="stable")
-    neg_labels = [lab for sg in subgroups for lab in sg.negative_labels]
-    return result.loss, grads, [neg_labels[k] for k in order.tolist()]
-
-
-def _batch_triplet(feats, labels, person_idx, margin):
-    """In-batch triplet terms, no dictionary: anchors/positives/negatives
-    all come from the current iteration."""
-    terms = []
-    active = []  # (a, p, n) proposal indices of active hinges
-    for i in person_idx:
-        if labels[i] < 0:
-            continue
-        for j in person_idx:
-            if j == i or labels[j] != labels[i]:
-                continue
-            for k in person_idx:
-                if labels[k] == labels[i]:
-                    continue
-                val = triplet_loss(feats[i], feats[j], feats[k], margin)
-                terms.append(val)
-                if val > 0.0:
-                    active.append((i, j, k))
-    if not terms:
-        return 0.0, {}
-    n = len(terms)
-    grads: dict[int, np.ndarray] = {}
-    for a, p, ng in active:
-        grads[a] = grads.get(a, 0.0) + (feats[ng] - feats[p]) / n
-        grads[p] = grads.get(p, 0.0) + (-feats[a]) / n
-        grads[ng] = grads.get(ng, 0.0) + feats[a] / n
-    return math.fsum(terms) / n, grads
-
-
-def _batch_contrastive(feats, labels, person_idx, margin):
-    """In-batch contrastive terms over labeled proposals only.
-
-    Positive and negative pairs are averaged separately so the few
-    same-identity pairs are not drowned out by the quadratic number of
-    different-identity pairs.
-    """
-    labeled = [i for i in person_idx if labels[i] >= 0]
-    pos_pairs = []
-    neg_pairs = []
-    for a in range(len(labeled)):
-        for b in range(a + 1, len(labeled)):
-            i, j = labeled[a], labeled[b]
-            if labels[i] == labels[j]:
-                pos_pairs.append((i, j))
-            else:
-                neg_pairs.append((i, j))
-    if not pos_pairs and not neg_pairs:
-        return 0.0, {}
-    grads: dict[int, np.ndarray] = {}
-    loss = 0.0
-    if pos_pairs:
-        n = len(pos_pairs)
-        terms = []
-        for i, j in pos_pairs:
-            terms.append(contrastive_loss(feats[i], feats[j], True, margin))
-            grads[i] = grads.get(i, 0.0) - feats[j] / n
-            grads[j] = grads.get(j, 0.0) - feats[i] / n
-        loss += math.fsum(terms) / n
-    if neg_pairs:
-        n = len(neg_pairs)
-        terms = []
-        for i, j in neg_pairs:
-            val = contrastive_loss(feats[i], feats[j], False, margin)
-            terms.append(val)
-            if val > 0.0:
-                grads[i] = grads.get(i, 0.0) + feats[j] / n
-                grads[j] = grads.get(j, 0.0) + feats[i] / n
-        loss += math.fsum(terms) / n
-    return loss, grads
-
-
 def train(
     world: SyntheticWorld,
     encoder: ToyEncoder,
@@ -353,7 +272,12 @@ def train(
 ) -> tuple[ToyEncoder, list[TrainLogRow]]:
     """Four-step loop per iteration: encode, compute losses (detection
     term fixed to zero), SGD step through the normalization Jacobian,
-    then dictionary pushes and center updates."""
+    then dictionary pushes and center updates.
+
+    An iteration is a few arrays: the feature matrix X (one row per
+    proposal), its label array y, one read of the dictionary, and one
+    gradient matrix G that every loss term adds into.
+    """
     if loss_choice not in LOSS_TERMS:
         raise InvalidParams(f"unknown loss choice {loss_choice!r}")
     if images_per_iter not in IMAGES_PER_ITER:
@@ -366,108 +290,82 @@ def train(
     if identity == "hep":
         head = ClassifierHead(world.num_identities, encoder.embed_dim)
     bg_class = world.num_identities
+    overfull = 0
 
     log_rows: list[TrainLogRow] = []
     for it in range(iters):
         lr = schedule.lr_at(it, iters)
-        # encode this iteration's proposals
-        feats: list[np.ndarray] = []
-        labels: list[int] = []
-        caches = []
-        pairs = []
-        for _ in range(images_per_iter // 2):
-            img1, img2 = sample_image_pair(world, proposals_per_image, rng)
-            idx1, idx2 = [], []
-            for img, idx in ((img1, idx1), (img2, idx2)):
-                for obs, lab in img.proposals:
-                    x, cache = encoder.encode(obs)
-                    idx.append(len(feats))
-                    feats.append(x)
-                    labels.append(lab)
-                    caches.append(cache)
-            pairs.append((idx1, idx2))
-        person_idx = [i for i in range(len(feats)) if labels[i] != LABEL_BACKGROUND]
-        labeled_idx = [i for i in person_idx if labels[i] >= 0]
-
-        if feats and not np.all(np.isfinite(feats)):
+        images = [img for _ in range(images_per_iter // 2)
+                  for img in sample_image_pair(world, proposals_per_image, rng)]
+        y = np.concatenate([img.labels for img in images])
+        X, cache = encoder.encode(np.concatenate([img.obs for img in images]))
+        if not np.all(np.isfinite(X)):
             raise DivergenceDetected(f"non-finite features at iteration {it}")
+        person = np.flatnonzero(y != LABEL_BACKGROUND)
+        labeled = np.flatnonzero(y >= 0)
+        G = np.zeros_like(X)
 
-        feat_grads: dict[int, np.ndarray] = {}
-        olp_val = 0.0
-        metric_grads: dict[int, np.ndarray] = {}
+        metric_val = 0.0
         hard_ranked: list[int] = []
         if metric == "olp":
-            olp_val, metric_grads, hard_ranked = _batch_olp(pairs, feats, labels, dictionary)
-        elif metric == "triplet":
-            olp_val, metric_grads = _batch_triplet(feats, labels, person_idx, hp.triplet_margin)
-        elif metric == "contrastive":
-            olp_val, metric_grads = _batch_contrastive(feats, labels, person_idx, hp.contrastive_margin)
-        for i, g in metric_grads.items():
-            feat_grads[i] = feat_grads.get(i, 0.0) + hp.alpha * g
+            anchor, positive = build_subgroups([img.labels for img in images]).T
+            if anchor.size:
+                res = olp_loss(X[anchor], X[positive], y[anchor], *dictionary.matrix())
+                metric_val, hard_ranked = res.loss, res.hard_ranked
+                np.add.at(G, anchor, hp.alpha * res.anchor_gradients / anchor.size)
+        elif metric is not None:
+            term = triplet_loss if metric == "triplet" else contrastive_loss
+            margin = hp.triplet_margin if metric == "triplet" else hp.contrastive_margin
+            metric_val, grads = term(X[person], y[person], margin)
+            G[person] += hp.alpha * grads
 
         id_val = 0.0
         pool_len = 0
-        dA = dc = None
         if identity is not None:
-            gt = {labels[i] for i in labeled_idx}
+            gt = set(y[labeled].tolist())
             extra = {bg_class} if identity == "hep" else frozenset()
             pool = select_priority_pool(
                 gt, hard_ranked, hp.pool_size, hp.top_negatives,
                 world.num_identities, rng, extra_labels=extra,
             )
             pool_len = len(pool)
-            if identity == "c2hep" and labeled_idx:
-                for i in labeled_idx:
-                    if not centers.has(labels[i]):
-                        centers.update(labels[i], feats[i])
-                samples = [(feats[i], labels[i]) for i in labeled_idx]
-                id_val, fgrads = c2hep_loss(samples, pool, centers, hp.lam)
-                for i, g in zip(labeled_idx, fgrads):
-                    feat_grads[i] = feat_grads.get(i, 0.0) + hp.beta * g
+            overfull += pool_len > hp.pool_size
+            if identity == "c2hep" and labeled.size:
+                for i, lab in zip(labeled, y[labeled].tolist()):
+                    if not centers.has(lab):
+                        centers.update(lab, X[i])
+                id_val, grads = c2hep_loss(X[labeled], y[labeled], pool, centers, hp.lam)
+                G[labeled] += hp.beta * grads
             elif identity == "hep":
-                # identities, then backgrounds as class bg_class; unlabeled persons skipped
-                sample_idx = labeled_idx + [
-                    i for i, lab in enumerate(labels) if lab == LABEL_BACKGROUND]
-                samples = []
-                for i in sample_idx:
-                    lab = labels[i] if labels[i] >= 0 else bg_class
-                    samples.append(ClassifierScores(head.scores(feats[i]), lab))
-                if samples:
-                    id_val, sgrads = hep_loss(samples, pool)
-                    dA = np.zeros_like(head.A)
-                    dc = np.zeros_like(head.c)
-                    for i, g in zip(sample_idx, sgrads):
-                        gA, gc, gx = head.backward(feats[i], g)
-                        dA += gA
-                        dc += gc
-                        feat_grads[i] = feat_grads.get(i, 0.0) + hp.beta * gx
-                    dA *= hp.beta
-                    dc *= hp.beta
+                # identities, plus backgrounds as class bg_class; unlabeled persons skipped
+                rows = np.flatnonzero(y != LABEL_UNIDENTIFIED)
+                if rows.size:
+                    targets = np.where(y[rows] >= 0, y[rows], bg_class)
+                    id_val, dscores = hep_loss(head.scores(X[rows]), targets, pool)
+                    dA, dc, dX = head.backward(X[rows], dscores)
+                    G[rows] += hp.beta * dX
+                    head.A -= lr * (hp.beta * dA)
+                    head.c -= lr * (hp.beta * dc)
 
-        breakdown = combined_loss(0.0, olp_val, id_val, hp)
+        breakdown = combined_loss(0.0, metric_val, id_val, hp)
         if not np.isfinite(breakdown.total):
             raise DivergenceDetected(f"non-finite total loss at iteration {it}")
 
-        dW = np.zeros_like(encoder.W)
-        db = np.zeros_like(encoder.b)
-        for i, g in feat_grads.items():
-            gW, gb = encoder.backward(caches[i], g)
-            dW += gW
-            db += gb
+        dW, db = encoder.backward(cache, G)
         encoder.W -= lr * dW
         encoder.b -= lr * db
-        if dA is not None:
-            head.A -= lr * dA
-            head.c -= lr * dc
 
         # store after loss computation: current-iteration features never self-match
-        for i in person_idx:
-            dictionary.push(feats[i], labels[i])
-        for i in labeled_idx:
-            centers.update(labels[i], feats[i])
+        for i, lab in zip(person, y[person].tolist()):
+            dictionary.push(X[i], lab)
+        for i, lab in zip(labeled, y[labeled].tolist()):
+            centers.update(lab, X[i])
 
         log_rows.append(TrainLogRow(
-            iteration=it, olp=olp_val, id_loss=id_val, total=breakdown.total,
+            iteration=it, olp=metric_val, id_loss=id_val, total=breakdown.total,
             dict_size=len(dictionary), pool_size=pool_len, lr=lr,
         ))
+    if overfull:
+        log.warning("priority pool overfull in %d of %d iterations: ground truth "
+                    "alone exceeded pool_size %d", overfull, iters, hp.pool_size)
     return encoder, log_rows

@@ -18,14 +18,8 @@ from psearch.checks import (
 from psearch.config import ExperimentConfig
 from psearch.dictionaries import ClassCenterTable
 from psearch.errors import PSearchError
-from psearch.losses import (
-    ClassifierScores,
-    c2hep_loss,
-    hep_loss,
-    olp_loss,
-)
-from psearch.numerics import l2_normalize
-from psearch.pairing import PriorityPool, Subgroup
+from psearch.losses import c2hep_loss, hep_loss, olp_loss
+from psearch.pairing import PriorityPool
 from psearch.runner import (
     evaluate_config,
     run_ablation,
@@ -84,9 +78,8 @@ def test_criterion_1_gradient_correctness():
 def test_criterion_2_closed_form_spot_values():
     failures = []
 
-    sg = Subgroup(np.array([1.0, 0.0]), np.array([1.0, 0.0]),
-                  [np.array([0.0, 1.0])], 0, [1])
-    res = olp_loss([sg])
+    res = olp_loss(np.array([[1.0, 0.0]]), np.array([[1.0, 0.0]]), [0],
+                   np.array([[0.0, 1.0]]), [1])
     if abs(res.loss - math.log(1 + math.exp(-1))) > 1e-9:
         failures.append(f"olp loss {res.loss}")
     if np.abs(res.anchor_gradients[0]
@@ -94,14 +87,14 @@ def test_criterion_2_closed_form_spot_values():
         failures.append("olp gradient")
 
     pool = PriorityPool(labels={0, 1}, target_size=2)
-    hval, _ = hep_loss([ClassifierScores(np.array([2.0, 0.0, 0.0]), 0)], pool)
+    hval, _ = hep_loss(np.array([[2.0, 0.0, 0.0]]), [0], pool)
     if abs(hval - 0.12692801104297250) > 1e-8:
         failures.append(f"hep {hval}")
 
     table = ClassCenterTable(num_classes=2)
     table.update(0, np.array([1.0, 0.0]))
     table.update(1, np.array([0.0, 1.0]))
-    cval, _ = c2hep_loss([(np.array([1.0, 0.0]), 0)], pool, table, lam=10.0)
+    cval, _ = c2hep_loss(np.array([[1.0, 0.0]]), [0], pool, table, lam=10.0)
     if abs(cval - math.log(1 + math.exp(-10))) > 1e-12:
         failures.append(f"c2hep {cval}")
 

@@ -1,8 +1,11 @@
 import dataclasses
 import os
+import tempfile
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from psearch.checks import SUITES
 from psearch.cli import main
 from psearch.config import (
     ExperimentConfig,
@@ -13,6 +16,7 @@ from psearch.config import (
     parse_config,
 )
 from psearch.errors import ConfigError
+from psearch.simulator import IMAGES_PER_ITER, LOSS_CHOICES
 
 TINY = [
     "--num-identities", "10", "--latent-dim", "4", "--obs-dim", "16",
@@ -158,6 +162,58 @@ class TestCliRun:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("flags", [
+        ["--query-count", "0"],
+        ["--gallery-per-identity", "0"],
+        ["--distractors", "-5"],
+        ["--obs-dim", "6", "--latent-dim", "4"],
+    ])
+    def test_bad_retrieval_or_world_settings_fail_before_training(self, tmp_path, capsys,
+                                                                  flags):
+        out = tmp_path / "out"
+        rc = main(["run", *TINY, *flags, "--out-dir", str(out)])
+        assert rc == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
+
+ARTIFACTS = ["config-echo.txt", "eval.csv", "train.csv"]
+
+
+BAD_FLAGS = ("--pool-size=0", "--distractors=-1", "--images-per-iter=3",
+             "--gallery-sizes=99", "--query-count=0", "--obs-dim=3")
+
+
+@given(loss=st.sampled_from(LOSS_CHOICES), images=st.sampled_from(IMAGES_PER_ITER),
+       iters=st.integers(1, 5), seed=st.integers(0, 5), pool_size=st.sampled_from((1, 4, 100)),
+       distractors=st.sampled_from((2, 6)), gallery_sizes=st.sampled_from(("", "3,5")),
+       bad=st.sampled_from((None,) * len(BAD_FLAGS) + BAD_FLAGS))
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_run_completes_or_fails_cleanly(loss, images, iters, seed, pool_size, distractors,
+                                        gallery_sizes, bad):
+    """Over a tiny world: every `run` either exits 0 with all three
+    artifacts or, given one bad setting, exits 2 with none; it never
+    raises, and a rerun writes byte-identical CSVs."""
+    argv = ["run", "--num-identities", "6", "--latent-dim", "2", "--obs-dim", "8",
+            "--proposals-per-image", "3", "--query-count", "3", "--gallery-per-identity", "1",
+            "--iters", str(iters), "--seed", str(seed), "--loss-choice", loss,
+            "--images-per-iter", str(images), "--pool-size", str(pool_size),
+            "--distractors", str(distractors), "--gallery-sizes", gallery_sizes]
+    with tempfile.TemporaryDirectory() as tmp:
+        csvs = []
+        for rerun in ("a", "b"):
+            out = os.path.join(tmp, rerun)
+            rc = main([*argv, *([bad] if bad else []), "--out-dir", out])
+            assert rc == (2 if bad else 0)
+            if bad:
+                assert not os.path.exists(out)
+                return
+            assert sorted(os.listdir(out)) == ARTIFACTS
+            csvs.append([open(os.path.join(out, n), "rb").read() for n in ARTIFACTS[1:]])
+        assert csvs[0] == csvs[1]
+
+
 class TestCliAblateAndSweep:
     def test_ablate_input_count(self, tmp_path):
         out = str(tmp_path / "out")
@@ -195,6 +251,12 @@ class TestCliAblateAndSweep:
 
 
 class TestCliCheck:
+    def test_suite_choices_are_the_suites(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["check", "nonsense"])
+        err = capsys.readouterr().err
+        assert all(name in err for name in SUITES)
+
     def test_oracle_suite_passes(self, capsys):
         rc = main(["check", "oracles"])
         out = capsys.readouterr().out

@@ -18,10 +18,10 @@ class TestFeatureDictionary:
         d.push(a, 0)
         d.push(b, 1)
         d.push(c, 2)
-        entries = list(d)
-        assert len(entries) == 2
-        assert np.allclose(entries[0].feature, b)
-        assert np.allclose(entries[1].feature, c)
+        feats, labels = d.matrix()
+        assert labels.tolist() == [1, 2]
+        assert np.allclose(feats[0], b)
+        assert np.allclose(feats[1], c)
 
     def test_unlabeled_entry_usable_as_negative(self):
         d = FeatureDictionary(4)
@@ -68,7 +68,7 @@ class TestFeatureDictionary:
         for lab in labels:
             d.push(l2_normalize(rng.normal(size=3)), lab)
         assert len(d) == min(capacity, len(labels))
-        stored = [e.label for e in d]
+        stored = d.matrix()[1].tolist()
         assert stored == labels[-len(stored):]
 
 

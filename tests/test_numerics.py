@@ -55,6 +55,22 @@ class TestSoftmax:
         with pytest.raises(EmptyInput):
             softmax([])
 
+    def test_rows_match_vectors(self):
+        scores = make_rng(3).normal(size=(5, 7)) * 20
+        rows = softmax(scores)
+        for row, s in zip(rows, scores):
+            assert np.array_equal(row, softmax(s))
+
+    def test_minus_inf_masks_an_entry(self):
+        out = softmax([[0.0, -np.inf, 0.0], [1.0, 1.0, -np.inf]])
+        assert out.tolist() == [[0.5, 0.0, 0.5], [0.5, 0.5, 0.0]]
+
+    @pytest.mark.parametrize("scores", [[np.nan, 0.0], [np.inf, 0.0],
+                                        [[0.0, 1.0], [-np.inf, -np.inf]]])
+    def test_non_finite_rejected(self, scores):
+        with pytest.raises(NonFiniteFunction):
+            softmax(scores)
+
     @given(st.lists(st.floats(-700, 700), min_size=1, max_size=16),
            st.floats(-100, 100))
     def test_shift_invariance_and_normalization(self, scores, c):

@@ -1,16 +1,19 @@
-import logging
-
 import numpy as np
 import pytest
 
 from psearch.dictionaries import FeatureDictionary
 from psearch.errors import InvalidParams
+from psearch.losses import olp_loss
 from psearch.numerics import l2_normalize, make_rng
 from psearch.pairing import build_subgroups, select_priority_pool
 
 
 def unit(*comps):
     return l2_normalize(np.array(comps, dtype=float))
+
+
+def images(*label_lists):
+    return [np.array(labels, dtype=np.int64) for labels in label_lists]
 
 
 @pytest.fixture
@@ -22,55 +25,46 @@ def filled_dict():
     return d
 
 
-class TestBuildSubgroups:
-    def test_symmetric_anchoring(self, filled_dict):
-        batch = [
-            [(unit(1, 1, 0), 3)],
-            [(unit(1, 0, 1), 3)],
-        ]
-        sgs = build_subgroups(batch, filled_dict)
-        assert len(sgs) == 2
-        assert np.allclose(sgs[0].anchor, sgs[1].positive)
-        assert np.allclose(sgs[0].positive, sgs[1].anchor)
-        assert all(sg.anchor_label == 3 for sg in sgs)
+def olp_of(subgroups, feats, labels, dictionary):
+    anchor, positive = subgroups.T
+    return olp_loss(feats[anchor], feats[positive], labels[anchor], *dictionary.matrix())
 
-    def test_no_shared_identity(self, filled_dict):
-        batch = [[(unit(1, 0, 0), 1)], [(unit(0, 1, 0), 2)]]
-        assert build_subgroups(batch, filled_dict) == []
+
+class TestBuildSubgroups:
+    def test_symmetric_anchoring(self):
+        sgs = build_subgroups(images([3], [3]))
+        assert sgs.tolist() == [[0, 1], [1, 0]]
+
+    def test_no_shared_identity(self):
+        assert len(build_subgroups(images([1], [2]))) == 0
 
     def test_negative_count_matches_dictionary(self, filled_dict):
-        batch = [[(unit(1, 1, 0), 3)], [(unit(1, 0, 1), 3)]]
-        sgs = build_subgroups(batch, filled_dict)
-        for sg in sgs:
-            assert len(sg.negatives) == 3
-            assert sg.negative_labels == [7, -1, 9]
+        feats, labels = np.array([unit(1, 1, 0), unit(1, 0, 1)]), np.array([3, 3])
+        res = olp_of(build_subgroups(images([3], [3])), feats, labels, filled_dict)
+        assert np.all(res.q_hat > 0.0) and res.q_hat.shape == (2, 3)
+        assert sorted(res.hard_ranked) == [-1, -1, 7, 7, 9, 9]
 
     def test_anchor_label_excluded_from_negatives(self, filled_dict):
-        batch = [[(unit(1, 1, 0), 7)], [(unit(1, 0, 1), 7)]]
-        sgs = build_subgroups(batch, filled_dict)
-        for sg in sgs:
-            assert 7 not in sg.negative_labels
-            assert len(sg.negatives) == 2
+        feats, labels = np.array([unit(1, 1, 0), unit(1, 0, 1)]), np.array([7, 7])
+        res = olp_of(build_subgroups(images([7], [7])), feats, labels, filled_dict)
+        assert np.all(res.q_hat[:, 0] == 0.0) and np.all(res.q_hat[:, 1:] > 0.0)
+        assert 7 not in res.hard_ranked and len(res.hard_ranked) == 4
 
-    def test_unlabeled_and_background_never_pair(self, filled_dict):
-        batch = [
-            [(unit(1, 0, 0), -1), (unit(0, 1, 0), -2)],
-            [(unit(0, 0, 1), -1), (unit(1, 1, 1), -2)],
-        ]
-        assert build_subgroups(batch, filled_dict) == []
+    def test_unlabeled_and_background_never_pair(self):
+        assert len(build_subgroups(images([-1, -2], [-1, -2]))) == 0
 
-    def test_within_image_same_identity_pairs(self, filled_dict):
+    def test_within_image_same_identity_pairs(self):
         # identity 3 twice in image one, once in image two: 3 pairs, 6 subgroups
-        batch = [
-            [(unit(1, 0, 0), 3), (unit(0, 1, 0), 3)],
-            [(unit(0, 0, 1), 3)],
-        ]
-        sgs = build_subgroups(batch, filled_dict)
-        assert len(sgs) == 6
+        assert len(build_subgroups(images([3, 3], [3]))) == 6
 
-    def test_requires_two_images(self, filled_dict):
+    def test_rows_count_through_pairs(self):
+        # pairs never mix; the second pair's rows start after the first's
+        sgs = build_subgroups(images([3], [3], [5, 3], [5]))
+        assert sgs.tolist() == [[0, 1], [1, 0], [2, 4], [4, 2]]
+
+    def test_requires_two_images(self):
         with pytest.raises(InvalidParams):
-            build_subgroups([[(unit(1, 0, 0), 1)]], filled_dict)
+            build_subgroups(images([1]))
 
 
 class TestSelectPriorityPool:
@@ -102,11 +96,10 @@ class TestSelectPriorityPool:
         p2 = select_priority_pool({1}, [4], 8, 10, 50, make_rng(123))
         assert p1.labels == p2.labels
 
-    def test_gt_overflow_keeps_all_and_warns(self, caplog):
-        with caplog.at_level(logging.WARNING):
-            pool = select_priority_pool({0, 1, 2, 3}, [], 2, 0, 10, make_rng(0))
+    def test_gt_overflow_keeps_all(self):
+        # train() counts such iterations and warns once per run
+        pool = select_priority_pool({0, 1, 2, 3}, [], 2, 0, 10, make_rng(0))
         assert {0, 1, 2, 3} <= pool.labels
-        assert any("overfull" in r.message for r in caplog.records)
 
     def test_invalid_gt_label(self):
         with pytest.raises(InvalidParams):

@@ -1,8 +1,12 @@
+import dataclasses
+import logging
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import psearch.simulator as sim
+from psearch.checks import olp_oracle
 from psearch.dictionaries import (
     ClassCenterTable,
     FeatureDictionary,
@@ -10,10 +14,11 @@ from psearch.dictionaries import (
     LABEL_BACKGROUND,
     LABEL_UNIDENTIFIED,
 )
-from psearch.errors import DivergenceDetected, InvalidParams
+from psearch.errors import DivergenceDetected, EmptySubgroups, InvalidParams
 from psearch.losses import c2hep_loss, olp_loss
 from psearch.numerics import check_gradient, l2_normalize, make_rng
 from psearch.pairing import PriorityPool, build_subgroups
+from psearch.runner import train_from_config
 from psearch.simulator import (
     ClassifierHead,
     Schedule,
@@ -71,9 +76,10 @@ class TestSampleImagePair:
         rng = make_rng(4)
         for _ in range(20):
             img1, img2 = sample_image_pair(w, 8, rng)
-            assert len(img1.proposals) == 8 and len(img2.proposals) == 8
-            l1 = {lab for _, lab in img1.proposals if lab >= 0}
-            l2 = {lab for _, lab in img2.proposals if lab >= 0}
+            assert img1.obs.shape == img2.obs.shape == (8, w.obs_dim)
+            assert len(img1.labels) == 8 and len(img2.labels) == 8
+            l1 = {lab for lab in img1.labels.tolist() if lab >= 0}
+            l2 = {lab for lab in img2.labels.tolist() if lab >= 0}
             assert l1 & l2
 
     def test_zero_unlabeled_fraction(self):
@@ -81,7 +87,7 @@ class TestSampleImagePair:
         rng = make_rng(4)
         for _ in range(30):
             for img in sample_image_pair(w, 8, rng):
-                assert all(lab != LABEL_UNIDENTIFIED for _, lab in img.proposals)
+                assert np.all(img.labels != LABEL_UNIDENTIFIED)
 
     def test_invalid_proposal_count(self):
         w = generate_world(5, seed=0)
@@ -93,31 +99,58 @@ class TestToyEncoder:
     def test_unit_output(self):
         enc = ToyEncoder(16, embed_dim=8, seed=0)
         rng = make_rng(1)
-        for _ in range(10):
-            x, _ = enc.encode(rng.normal(size=16))
-            assert abs(np.linalg.norm(x) - 1.0) < 1e-6
+        x, _ = enc.encode(rng.normal(size=(10, 16)))
+        assert np.allclose(np.linalg.norm(x, axis=1), 1.0, atol=1e-12)
+
+    def test_rows_match_single_observations(self):
+        enc = ToyEncoder(16, embed_dim=8, seed=0)
+        obs = make_rng(2).normal(size=(5, 16))
+        rows, _ = enc.encode(obs)
+        for o, x in zip(obs, rows):
+            assert np.allclose(enc.encode(o)[0], x, rtol=0, atol=1e-15)
+
+    def test_backward_rows_finite_difference(self):
+        rng = make_rng(3)
+        enc = ToyEncoder(6, embed_dim=4, seed=3)
+        obs = rng.normal(size=(5, 6))
+        target = rng.normal(size=(5, 4))
+
+        def loss(W, b):
+            e = ToyEncoder.__new__(ToyEncoder)
+            e.W, e.b = W, b
+            return float(np.sum(e.encode(obs)[0] * target))
+
+        x, cache = enc.encode(obs)
+        dW, db = enc.backward(cache, target)
+        assert check_gradient(lambda w: loss(w.reshape(4, 6), enc.b), enc.W.ravel(),
+                              dW.ravel()) < 1e-6
+        assert check_gradient(lambda b: loss(enc.W, b), enc.b, db) < 1e-6
 
 
 def test_classifier_head_backward_finite_difference():
     head = ClassifierHead(3, embed_dim=5, seed=2)
     rng = make_rng(8)
-    x = l2_normalize(rng.normal(size=5))
-    target = rng.normal(size=4)
+    x = np.array([l2_normalize(v) for v in rng.normal(size=(3, 5))])
+    target = rng.normal(size=(3, 4))
 
     def f_flat(a_flat):
-        scores = a_flat.reshape(4, 5) @ x + head.c
-        return float(scores @ target)
+        scores = x @ a_flat.reshape(4, 5).T + head.c
+        return float(np.sum(scores * target))
+
+    def f_x(x_flat):
+        return float(np.sum(head.scores(x_flat.reshape(3, 5)) * target))
 
     dA, dc, dx = head.backward(x, target)
     assert check_gradient(f_flat, head.A.ravel(), dA.ravel()) < 1e-6
-    assert np.allclose(dc, target)
-    assert np.allclose(dx, head.A.T @ target)
+    assert np.allclose(dc, target.sum(axis=0))
+    assert check_gradient(f_x, x.ravel(), dx.ravel()) < 1e-6
 
 
 def test_end_to_end_weight_gradient():
     """Finite-difference check of the per-step training objective (metric
     term plus center-based identity term) against the analytic gradient
-    propagated through the normalization Jacobian.
+    propagated through the normalization Jacobian, with the rows encoded
+    and back-propagated together as train() does.
 
     Partner features inside each subgroup are constants in the step
     objective (the metric loss differentiates through the anchor only),
@@ -128,8 +161,8 @@ def test_end_to_end_weight_gradient():
     enc = ToyEncoder(obs_dim, embed_dim=embed_dim, seed=17)
     hp = HyperParams(beta=0.7)
 
-    obs = [rng.normal(size=obs_dim) for _ in range(4)]
-    labels = [0, 1, 0, 2]
+    obs = rng.normal(size=(4, obs_dim))
+    labels = np.array([0, 1, 0, 2])
     dictionary = FeatureDictionary(10)
     for lab in (1, 2, 3, 4):
         dictionary.push(l2_normalize(rng.normal(size=embed_dim)), lab)
@@ -137,38 +170,22 @@ def test_end_to_end_weight_gradient():
     for lab in range(5):
         table.update(lab, l2_normalize(rng.normal(size=embed_dim)))
     pool = PriorityPool(labels={0, 1, 2, 3, 4}, target_size=5)
-    frozen = [enc.encode(o)[0] for o in obs]
-    neg_feats, neg_labels = dictionary.negatives(0)
-    from psearch.pairing import Subgroup
+    frozen = enc.encode(obs)[0]
+    # the two label-0 proposals anchor against each other's frozen feature
+    anchor, positive = build_subgroups([labels[:2], labels[2:]]).T
+    assert anchor.tolist() == [0, 2]
 
     def total_and_grads(W, b):
         e = ToyEncoder.__new__(ToyEncoder)
         e.obs_dim, e.embed_dim = obs_dim, embed_dim
         e.W, e.b = W, b
-        feats, caches = [], []
-        for o in obs:
-            x, cache = e.encode(o)
-            feats.append(x)
-            caches.append(cache)
-        # the two label-0 proposals anchor against each other's frozen feature
-        sgs = [
-            Subgroup(feats[0], frozen[2], neg_feats, 0, neg_labels),
-            Subgroup(feats[2], frozen[0], neg_feats, 0, neg_labels),
-        ]
-        res = olp_loss(sgs)
-        feat_grads = {i: np.zeros(embed_dim) for i in range(4)}
-        m = len(sgs)
-        for ai, g in zip((0, 2), res.anchor_gradients):
-            feat_grads[ai] += hp.alpha * g / m
-        id_val, id_grads = c2hep_loss(list(zip(feats, labels)), pool, table, hp.lam)
-        for i, g in enumerate(id_grads):
-            feat_grads[i] += hp.beta * g
-        dW = np.zeros_like(W)
-        db = np.zeros_like(b)
-        for i in range(4):
-            gW, gb = e.backward(caches[i], feat_grads[i])
-            dW += gW
-            db += gb
+        feats, cache = e.encode(obs)
+        res = olp_loss(feats[anchor], frozen[positive], labels[anchor], *dictionary.matrix())
+        grads = np.zeros_like(feats)
+        np.add.at(grads, anchor, hp.alpha * res.anchor_gradients / anchor.size)
+        id_val, id_grads = c2hep_loss(feats, labels, pool, table, hp.lam)
+        grads += hp.beta * id_grads
+        dW, db = e.backward(cache, grads)
         return hp.alpha * res.loss + hp.beta * id_val, dW, db
 
     _, dW, db = total_and_grads(enc.W, enc.b)
@@ -285,27 +302,14 @@ class TestTrain:
         assert rows[-1].dict_size > rows[0].dict_size or rows[-1].dict_size > 0
 
 
-def _id_keyed_batch_olp(pairs, feats, labels, dictionary):
-    """Oracle: _batch_olp's former id()-keyed anchor lookup and stable
-    (similarity, label) tuple sort; returns (grads-by-index, ranking)."""
-    subgroups, anchors = [], []
-    for pair in pairs:
-        sgs = build_subgroups([[(feats[i], labels[i]) for i in idx] for idx in pair],
-                              dictionary)
-        by_id = {id(feats[i]): i for i in [*pair[0], *pair[1]]}
-        subgroups += sgs
-        anchors += [by_id[id(sg.anchor)] for sg in sgs]
-    if not subgroups:
-        return {}, []
-    result = olp_loss(subgroups)
-    grads = {}
-    for ai, g in zip(anchors, result.anchor_gradients):
-        grads[ai] = grads.get(ai, 0.0) + g / len(subgroups)
-    sims, neg_labels = [], []
-    for sg, d_negs in zip(subgroups, result.negative_sims):
-        sims += d_negs.tolist()
-        neg_labels += sg.negative_labels
-    return grads, [lab for _, lab in sorted(zip(sims, neg_labels), key=lambda t: -t[0])]
+def test_overfull_pool_warns_once_per_run(caplog):
+    """Ground truth alone overfills a pool of one in most iterations; the
+    run logs that once, with the count."""
+    from test_acceptance import SMALL
+    with caplog.at_level(logging.WARNING):
+        train_from_config(dataclasses.replace(SMALL, pool_size=1))
+    assert len(caplog.records) == 1
+    assert "overfull" in caplog.records[0].getMessage()
 
 
 proposal = st.tuples(st.integers(0, 3), st.integers(LABEL_BACKGROUND, 4))
@@ -316,27 +320,28 @@ proposal = st.tuples(st.integers(0, 3), st.integers(LABEL_BACKGROUND, 4))
                        max_size=30),
        images=st.lists(st.lists(proposal, min_size=1, max_size=5), min_size=2, max_size=8))
 @settings(max_examples=200, deadline=None)
-def test_batch_olp_matches_id_keyed_tuple_sort(seed, stored, images):
-    """Features are copies of four base vectors, so equal similarities
-    (within one subgroup and across subgroups) are exact ties."""
+def test_olp_matches_per_subgroup_oracle(seed, stored, images):
+    """train()'s OLP path (build_subgroups, one dictionary read, olp_loss)
+    against checks.olp_oracle. Features are copies of four base vectors,
+    so equal similarities (within one subgroup and across subgroups) are
+    exact ties, which both must order by subgroup, then dictionary."""
     base = [l2_normalize(v) for v in make_rng(seed).normal(size=(4, 3))]
     dictionary = FeatureDictionary(25)
     for k, lab in stored:
         dictionary.push(base[k], lab)
-    feats, labels, pairs = [], [], []
-    for img1, img2 in zip(images[::2], images[1::2]):
-        idx = ([], [])
-        for img, out in ((img1, idx[0]), (img2, idx[1])):
-            for k, lab in img:
-                out.append(len(feats))
-                feats.append(base[k].copy())
-                labels.append(lab)
-        pairs.append(idx)
+    images = images[:len(images) // 2 * 2]
+    feats = np.array([base[k] for img in images for k, _ in img])
+    labels = np.array([lab for img in images for _, lab in img])
+    anchor, positive = build_subgroups(
+        [np.array([lab for _, lab in img]) for img in images]).T
+    if anchor.size == 0:
+        with pytest.raises(EmptySubgroups):
+            olp_loss(feats[anchor], feats[positive], labels[anchor], *dictionary.matrix())
+        return
 
-    _, grads, ranked = sim._batch_olp(pairs, feats, labels, dictionary)
-    want_grads, want_ranked = _id_keyed_batch_olp(pairs, feats, labels, dictionary)
-    assert ranked == want_ranked
-    assert all(type(lab) is int for lab in ranked)
-    assert list(grads) == list(want_grads)
-    for i, g in want_grads.items():
-        assert np.array_equal(grads[i], g)
+    res = olp_loss(feats[anchor], feats[positive], labels[anchor], *dictionary.matrix())
+    loss, grads, ranked = olp_oracle(feats[anchor], feats[positive], labels[anchor], dictionary)
+    assert res.hard_ranked == ranked
+    assert all(type(lab) is int for lab in res.hard_ranked)
+    assert abs(res.loss - loss) <= 1e-12
+    np.testing.assert_allclose(res.anchor_gradients, grads, rtol=0, atol=1e-12)
