@@ -59,7 +59,7 @@ def olp_loss(anchors, positives, anchor_labels, negatives, negative_labels) -> O
     negative_labels = np.asarray(negative_labels)
     keep = negative_labels[None, :] != np.asarray(anchor_labels)[:, None]
     sims = anchors @ negatives.T
-    d_pos = np.vecdot(anchors, positives)
+    d_pos = np.einsum("ij,ij->i", anchors, positives)
     probs = softmax(np.column_stack([d_pos, np.where(keep, sims, -np.inf)]))
     q, q_hat = probs[:, 0], probs[:, 1:]
     grads = (q - 1.0)[:, None] * positives + q_hat @ negatives
@@ -173,13 +173,14 @@ def contrastive_loss(features, labels, margin: float = 0.5) -> tuple[float, np.n
     gram = features @ features.T
     loss = 0.0
     weight = np.zeros_like(gram)  # d loss / d gram over pairs i < j
-    if pos.any():
-        loss += math.fsum(1.0 - gram[pos]) / pos.sum()
-        weight -= pos / pos.sum()
-    if neg.any():
+    n_pos, n_neg = int(pos.sum()), int(neg.sum())
+    if n_pos:
+        loss += math.fsum(1.0 - gram[pos]) / n_pos
+        weight -= pos / n_pos
+    if n_neg:
         hinge = gram - margin
-        loss += math.fsum(np.maximum(hinge[neg], 0.0)) / neg.sum()
-        weight += (neg & (hinge > 0.0)) / neg.sum()
+        loss += math.fsum(np.maximum(hinge[neg], 0.0)) / n_neg
+        weight += (neg & (hinge > 0.0)) / n_neg
     return loss, (weight + weight.T) @ features
 
 

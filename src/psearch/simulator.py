@@ -200,7 +200,7 @@ class ToyEncoder:
         """Unit features of observation rows (or of one observation),
         and the cache for backward."""
         z = obs @ self.W.T + self.b
-        norm = np.sqrt(np.vecdot(z, z))[..., None]
+        norm = np.sqrt(np.einsum("...i,...i->...", z, z))[..., None]
         x = z / norm
         return x, (obs, x, norm)
 
@@ -212,7 +212,7 @@ class ToyEncoder:
         Returns (dW, db).
         """
         obs, x, norm = cache
-        dz = (dx - x * np.vecdot(x, dx)[..., None]) / norm
+        dz = (dx - x * np.einsum("...i,...i->...", x, dx)[..., None]) / norm
         return dz.T @ obs, dz.sum(axis=0)
 
 

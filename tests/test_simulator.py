@@ -274,7 +274,7 @@ class TestTrain:
         assert all(lab != LABEL_BACKGROUND
                    for lab in RecordingDictionary.pushed_labels)
 
-    @pytest.mark.parametrize("choice", ["olp+hep", "triplet+hep", "contrastive", "c2hep", "olp"])
+    @pytest.mark.parametrize("choice", sim.LOSS_CHOICES)
     def test_all_loss_choices_run(self, choice):
         w = self.small_world(seed=2)
         enc = ToyEncoder(16, 8, seed=2)
@@ -282,6 +282,8 @@ class TestTrain:
                         2, 4, 10, make_rng(2))
         assert len(rows) == 10
         assert all(np.isfinite(r.total) for r in rows)
+        # rows are compared by full-precision repr(), which differs for np.float64
+        assert all(type(v) is float for r in rows for v in (r.olp, r.id_loss, r.total))
 
     @pytest.mark.filterwarnings("ignore:invalid value")
     def test_divergence_detected(self):
