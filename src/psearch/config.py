@@ -5,6 +5,7 @@ run starts."""
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, fields
 
 from .dictionaries import HyperParams
@@ -47,8 +48,12 @@ class ExperimentConfig:
     def validate(self) -> None:
         if self.seed < 0:
             raise ConfigError("seed: must be >= 0")
+        for f in fields(self):
+            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
+                raise ConfigError(f"{_ATTR_TO_KEY.get(f.name, f.name)}: must be finite")
         try:
-            check_world(self.num_identities, self.latent_dim, self.obs_dim)
+            check_world(self.num_identities, self.latent_dim, self.obs_dim, self.sigma_view,
+                        self.sigma_noise, self.unlabeled_fraction, self.background_fraction)
         except InvalidParams as exc:
             raise ConfigError(str(exc)) from exc
         if self.images_per_iter not in IMAGES_PER_ITER:
@@ -91,16 +96,7 @@ class ExperimentConfig:
 
 def hyperparams_from_config(cfg: ExperimentConfig) -> HyperParams:
     """The loss hyperparameters; HyperParams checks their ranges."""
-    return HyperParams(
-        alpha=cfg.alpha,
-        beta=cfg.beta,
-        lam=cfg.lam,
-        phi=cfg.phi,
-        pool_size=cfg.pool_size,
-        top_negatives=cfg.top_negatives,
-        triplet_margin=cfg.triplet_margin,
-        contrastive_margin=cfg.contrastive_margin,
-    )
+    return HyperParams(**{f.name: getattr(cfg, f.name) for f in fields(HyperParams)})
 
 
 # "lambda" is the file/CLI spelling; the attribute is lam.

@@ -31,15 +31,16 @@ class HyperParams:
     contrastive_margin: float = 0.5
 
     def __post_init__(self):
-        if self.alpha < 0 or self.beta < 0:
+        # written so that NaN fails every comparison
+        if not (self.alpha >= 0 and self.beta >= 0):
             raise ValueError("alpha and beta must be >= 0")
-        if self.lam <= 0:
+        if not self.lam > 0:
             raise ValueError("lambda must be > 0")
         if not (0.0 < self.phi < 1.0):
             raise ValueError("phi must be in (0, 1)")
-        if self.pool_size < 1:
+        if not self.pool_size >= 1:
             raise ValueError("pool_size must be >= 1")
-        if self.top_negatives < 0:
+        if not self.top_negatives >= 0:
             raise ValueError("top_negatives must be >= 0")
 
 

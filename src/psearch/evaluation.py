@@ -23,21 +23,16 @@ def rank_gallery(query: np.ndarray, gallery_feats) -> np.ndarray:
     """Gallery indices by descending cosine similarity; ties by index."""
     if len(gallery_feats) == 0:
         raise EmptyGallery("gallery is empty")
-    sims = np.array([float(np.dot(query, g)) for g in gallery_feats])
-    return np.argsort(-sims, kind="stable")
+    return np.argsort(-(np.asarray(gallery_feats) @ query), kind="stable")
 
 
 def average_precision(ranked: np.ndarray, relevant: set[int]) -> float:
     """Non-interpolated AP: mean of precision at each relevant hit."""
     if not relevant:
         raise NoRelevant("query has no relevant gallery items")
-    hits = 0
-    precisions = []
-    for rank, idx in enumerate(ranked, start=1):
-        if int(idx) in relevant:
-            hits += 1
-            precisions.append(hits / rank)
-    return float(sum(precisions) / len(relevant))
+    hit_ranks = np.flatnonzero(np.isin(ranked, list(relevant), kind="sort")) + 1
+    precisions = np.arange(1, len(hit_ranks) + 1) / hit_ranks
+    return float(sum(precisions.tolist()) / len(relevant))
 
 
 def cmc_topk(ranked: np.ndarray, relevant: set[int], k: int) -> bool:
@@ -46,7 +41,7 @@ def cmc_topk(ranked: np.ndarray, relevant: set[int], k: int) -> bool:
         raise NoRelevant("query has no relevant gallery items")
     if k < 1:
         raise ValueError("k must be >= 1")
-    return any(int(idx) in relevant for idx in ranked[:k])
+    return bool(np.isin(ranked[:k], list(relevant), kind="sort").any())
 
 
 def evaluate_retrieval(rset: RetrievalSet, ks=(1, 5, 10)):
@@ -54,13 +49,13 @@ def evaluate_retrieval(rset: RetrievalSet, ks=(1, 5, 10)):
 
     Queries without any relevant gallery item are excluded and logged.
     """
-    gallery_feats = [g for g, _ in rset.gallery]
-    gallery_ids = [i for _, i in rset.gallery]
+    gallery_feats = np.array([g for g, _ in rset.gallery])
+    gallery_ids = np.array([i for _, i in rset.gallery])
     aps = []
     topk_hits = {k: [] for k in ks}
     skipped = 0
     for qfeat, qid in rset.queries:
-        relevant = {i for i, gid in enumerate(gallery_ids) if gid == qid}
+        relevant = set(np.flatnonzero(gallery_ids == qid).tolist())
         if not relevant:
             skipped += 1
             continue
@@ -81,9 +76,9 @@ def gallery_sweep(rset: RetrievalSet, sizes, rng: np.random.Generator):
     """Evaluate at nested gallery sizes: keep every item relevant to some
     query, grow a shared, shuffled distractor prefix. Returns rows of
     (size, mAP, top1, top5, top10)."""
-    query_ids = {qid for _, qid in rset.queries}
-    kept = [i for i, (_, gid) in enumerate(rset.gallery) if gid in query_ids]
-    distractors = [i for i in range(len(rset.gallery)) if i not in set(kept)]
+    query_ids = [qid for _, qid in rset.queries]
+    is_kept = np.isin([gid for _, gid in rset.gallery], query_ids)
+    kept, distractors = np.flatnonzero(is_kept), np.flatnonzero(~is_kept)
     order = rng.permutation(len(distractors))
     rows = []
     for size in sizes:
@@ -93,10 +88,10 @@ def gallery_sweep(rset: RetrievalSet, sizes, rng: np.random.Generator):
             raise SizeTooLarge(
                 f"size {size} cannot hold the {len(kept)} relevant items"
             )
-        chosen = list(kept) + [distractors[int(j)] for j in order[: size - len(kept)]]
+        chosen = np.concatenate([kept, distractors[order[: size - len(kept)]]])
         sub = RetrievalSet(
             queries=rset.queries,
-            gallery=[rset.gallery[i] for i in sorted(chosen)],
+            gallery=[rset.gallery[i] for i in np.sort(chosen)],
         )
         mAP, cmc = evaluate_retrieval(sub)
         rows.append((size, mAP, cmc[1], cmc[5], cmc[10]))

@@ -18,7 +18,7 @@ import numpy as np
 
 from .dictionaries import ClassCenterTable, HyperParams
 from .errors import EmptyPool, EmptySubgroups, UninitializedCenter
-from .numerics import l2_normalize, softmax
+from .numerics import softmax
 from .pairing import PriorityPool
 
 
@@ -128,7 +128,8 @@ def c2hep_loss(
     missing = np.setdiff1d(labels, pooled)
     if missing.size:
         raise UninitializedCenter(f"sample label {missing[0]} not in pool")
-    center_mat = np.stack([l2_normalize(table.get(lab)) for lab in pooled])
+    center_mat = np.stack([table.get(lab) for lab in pooled])
+    center_mat /= np.linalg.norm(center_mat, axis=1, keepdims=True)  # scores stay cosines
     loss, dscores = _pooled_cross_entropy(
         lam * (features @ center_mat.T), np.searchsorted(pooled, labels), len(labels))
     return loss, lam * (dscores @ center_mat)

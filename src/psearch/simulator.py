@@ -72,14 +72,20 @@ class SceneImage:
     labels: np.ndarray  # (proposals,) int: identity, -1 unlabeled, -2 background
 
 
-def check_world(num_identities: int, latent_dim: int, obs_dim: int) -> None:
-    """The world sizes generate_world can build; InvalidParams otherwise."""
+def check_world(num_identities: int, latent_dim: int, obs_dim: int, sigma_view: float,
+                sigma_noise: float, unlabeled_fraction: float,
+                background_fraction: float) -> None:
+    """The world settings generate_world can build; InvalidParams otherwise."""
     if num_identities < 2:
         raise InvalidParams("num_identities: must be >= 2 for a retrieval task")
     if latent_dim < 2:
         raise InvalidParams("latent_dim: must be >= 2")
     if obs_dim < 2 * latent_dim:
         raise InvalidParams("obs_dim: must be >= 2 * latent_dim for disjoint subspaces")
+    if not (sigma_view >= 0 and sigma_noise >= 0):
+        raise InvalidParams("sigma_view, sigma_noise: must be >= 0")
+    if not (0 <= unlabeled_fraction <= 1 and 0 <= background_fraction <= 1):
+        raise InvalidParams("unlabeled_fraction, background_fraction: must be in [0, 1]")
 
 
 def generate_world(
@@ -93,7 +99,8 @@ def generate_world(
     seed: int = 0,
 ) -> SyntheticWorld:
     """Deterministic world from seed; prototypes unit-norm and distinct."""
-    check_world(num_identities, latent_dim, obs_dim)
+    check_world(num_identities, latent_dim, obs_dim, sigma_view, sigma_noise,
+                unlabeled_fraction, background_fraction)
     rng = make_rng(seed)
     protos = rng.normal(size=(num_identities, latent_dim))
     protos /= np.linalg.norm(protos, axis=1, keepdims=True)

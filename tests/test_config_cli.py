@@ -15,6 +15,7 @@ from psearch.config import (
     emit_config,
     parse_config,
 )
+from psearch.dictionaries import HyperParams
 from psearch.errors import ConfigError
 from psearch.simulator import IMAGES_PER_ITER, LOSS_CHOICES
 
@@ -84,6 +85,12 @@ class TestConfig:
         b = dataclasses.replace(a, seed=1)
         assert config_hash(a) == config_hash(ExperimentConfig())
         assert config_hash(a) != config_hash(b)
+
+    def test_hyperparams_declared_alike_in_config(self):
+        config_defaults = {f.name: f.default for f in dataclasses.fields(ExperimentConfig)}
+        for f in dataclasses.fields(HyperParams):
+            assert f.name in config_defaults
+            assert config_defaults[f.name] == f.default
 
     def test_every_key_has_cli_spelling(self):
         keys = config_keys()
@@ -167,6 +174,13 @@ class TestCliRun:
         ["--gallery-per-identity", "0"],
         ["--distractors", "-5"],
         ["--obs-dim", "6", "--latent-dim", "4"],
+        ["--alpha", "nan"],
+        ["--beta", "inf"],
+        ["--lambda", "nan"],
+        ["--lr-initial", "nan"],
+        ["--sigma-view", "nan"],
+        ["--unlabeled-fraction", "1.5"],
+        ["--background-fraction", "-0.5"],
     ])
     def test_bad_retrieval_or_world_settings_fail_before_training(self, tmp_path, capsys,
                                                                   flags):

@@ -139,6 +139,8 @@ class TestHyperParams:
     @pytest.mark.parametrize("kwargs", [
         {"alpha": -0.1}, {"lam": 0.0}, {"phi": 1.0}, {"phi": 0.0},
         {"pool_size": 0}, {"top_negatives": -1},
+        {"alpha": float("nan")}, {"beta": float("nan")}, {"lam": float("nan")},
+        {"phi": float("nan")},
     ])
     def test_invalid(self, kwargs):
         with pytest.raises(ValueError):

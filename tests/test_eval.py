@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+from psearch.checks import ap_oracle, cmc_oracle
 from psearch.errors import EmptyGallery, NoRelevant, SizeTooLarge
 from psearch.evaluation import (
     RetrievalSet,
@@ -163,3 +164,58 @@ def test_ap_monotone_under_added_distractors(seed):
     bigger = gallery + [l2_normalize(rng.normal(size=dim)) for _ in range(4)]
     grown = average_precision(rank_gallery(q, bigger), relevant)
     assert grown <= base + 1e-12
+
+
+def brute_force_evaluation(rset, ks=(1, 5, 10)):
+    """Per-query reference: one float(np.dot) per gallery item, a stable
+    sort, and the checks oracles for AP and CMC."""
+    aps, topk_hits = [], {k: [] for k in ks}
+    for qfeat, qid in rset.queries:
+        relevant = {i for i, (_, gid) in enumerate(rset.gallery) if gid == qid}
+        if not relevant:
+            continue
+        sims = [float(np.dot(qfeat, g)) for g, _ in rset.gallery]
+        ranked = sorted(range(len(sims)), key=lambda i: -sims[i])
+        aps.append(ap_oracle(ranked, relevant))
+        for k in ks:
+            topk_hits[k].append(cmc_oracle(ranked, relevant, k))
+    return float(np.mean(aps)), {k: float(np.mean(v)) for k, v in topk_hits.items()}
+
+
+@st.composite
+def tied_retrieval_sets(draw):
+    """Small-integer features, so every similarity is exact: gallery rows
+    are drawn from a few distinct vectors (exact ties), and query id 4
+    never occurs in the gallery (an orphan query)."""
+    dim = draw(st.integers(1, 3))
+    vec = st.lists(st.integers(-2, 2), min_size=dim, max_size=dim).map(
+        lambda v: np.array(v, dtype=float))
+    rows = draw(st.lists(vec, min_size=1, max_size=4))
+    gallery = draw(st.lists(st.tuples(st.sampled_from(rows), st.integers(-2, 3)),
+                            min_size=1, max_size=12))
+    queries = draw(st.lists(st.tuples(vec, st.integers(0, 4)), min_size=1, max_size=5))
+    return RetrievalSet(queries=queries, gallery=gallery)
+
+
+@given(rset=tied_retrieval_sets(), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_array_evaluation_matches_brute_force_oracles(rset, seed):
+    query_ids = {qid for _, qid in rset.queries}
+    kept = [i for i, (_, gid) in enumerate(rset.gallery) if gid in query_ids]
+    distractors = [i for i, (_, gid) in enumerate(rset.gallery) if gid not in query_ids]
+    assume(kept)
+    mAP, cmc = evaluate_retrieval(rset)
+    ref_map, ref_cmc = brute_force_evaluation(rset)
+    assert abs(mAP - ref_map) <= 1e-12
+    assert cmc == ref_cmc
+
+    sizes = list(range(len(kept), len(rset.gallery) + 1))
+    rows = gallery_sweep(rset, sizes, make_rng(seed))
+    order = make_rng(seed).permutation(len(distractors))
+    for size, (row_size, row_map, *row_cmc) in zip(sizes, rows, strict=True):
+        chosen = sorted(kept + [distractors[j] for j in order[: size - len(kept)]])
+        sub = RetrievalSet(rset.queries, [rset.gallery[i] for i in chosen])
+        ref_map, ref_cmc = brute_force_evaluation(sub)
+        assert row_size == size
+        assert abs(row_map - ref_map) <= 1e-12
+        assert row_cmc == [ref_cmc[1], ref_cmc[5], ref_cmc[10]]
