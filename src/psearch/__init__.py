@@ -13,7 +13,7 @@ from .losses import (
     triplet_loss,
 )
 from .numerics import check_gradient, l2_normalize, make_rng, softmax
-from .pairing import PriorityPool, build_subgroups, select_priority_pool
+from .pairing import build_subgroups, select_priority_pool
 
 __all__ = [
     "ClassCenterTable", "FeatureDictionary", "HyperParams",
@@ -21,7 +21,7 @@ __all__ = [
     "c2hep_loss", "combined_loss", "contrastive_loss", "hep_loss",
     "olp_loss", "triplet_loss",
     "check_gradient", "l2_normalize", "make_rng", "softmax",
-    "PriorityPool", "build_subgroups", "select_priority_pool",
+    "build_subgroups", "select_priority_pool",
 ]
 
 __version__ = "0.1.0"

@@ -19,7 +19,7 @@ from .dictionaries import ClassCenterTable, FeatureDictionary
 from .evaluation import average_precision, cmc_topk
 from .losses import c2hep_loss, olp_loss
 from .numerics import check_gradient, l2_normalize, make_rng, softmax
-from .pairing import PriorityPool, select_priority_pool
+from .pairing import select_priority_pool
 
 
 @dataclass
@@ -78,9 +78,9 @@ def olp_oracle(anchors, positives, anchor_labels, dictionary: FeatureDictionary)
     return math.fsum(losses) / len(losses), np.array(grads), [lab for _, lab in ranked]
 
 
-def hep_oracle(scores, labels, pool: PriorityPool):
+def hep_oracle(scores, labels, pool):
     """Per-sample hep_loss; returns (loss, score gradient rows)."""
-    pooled = pool.sorted_labels()
+    pooled = sorted(pool.tolist())
     terms, grads = [], []
     for row, label in zip(scores, labels):
         grad = np.zeros(len(row))
@@ -94,10 +94,11 @@ def hep_oracle(scores, labels, pool: PriorityPool):
     return math.fsum(terms) / len(labels), np.array(grads)
 
 
-def c2hep_oracle(features, labels, pool: PriorityPool, table: ClassCenterTable, lam: float):
+def c2hep_oracle(features, labels, pool, table: ClassCenterTable, lam: float):
     """Per-sample c2hep_loss; returns (loss, feature gradient rows)."""
-    pooled = [lab for lab in pool.sorted_labels() if lab >= 0 and table.has(lab)]
-    centers = [l2_normalize(table.get(lab)) for lab in pooled]
+    pooled = [lab for lab in sorted(pool.tolist())
+              if 0 <= lab < table.num_classes and table.seen[lab]]
+    centers = [l2_normalize(table.centers[lab]) for lab in pooled]
     terms, grads = [], []
     for x, label in zip(features, labels):
         probs = softmax([lam * float(np.dot(c, x)) for c in centers])
@@ -216,23 +217,20 @@ def run_invariant_checks(trials: int = 1000, seed: int = 777) -> list[CheckResul
     results.append(CheckResult("softmax-normalization", worst <= 1e-12,
                                f"max |sum - 1| = {worst:.3e}"))
 
-    # FIFO capacity bound and recency
+    # FIFO capacity bound and recency, pushed in batches of 0..9 rows
     ok = True
     for _ in range(trials):
         cap = int(rng.integers(1, 16))
-        n = int(rng.integers(0, 40))
         d = FeatureDictionary(cap)
-        pushed = []
-        for t in range(n):
-            v = l2_normalize(rng.normal(size=4))
-            d.push(v, int(rng.integers(-1, 5)))
-            pushed.append(v)
-        if len(d) != min(cap, n):
-            ok = False
-            break
-        expect = pushed[-min(cap, n):] if n else []
-        got = d.matrix()[0]
-        if any(not np.allclose(a, b) for a, b in zip(expect, got)):
+        pushed = np.zeros((0, 4))
+        for _ in range(int(rng.integers(0, 6))):
+            batch = rng.normal(size=(int(rng.integers(0, 10)), 4))
+            batch /= np.linalg.norm(batch, axis=1, keepdims=True)
+            d.push(batch, rng.integers(-1, 5, size=len(batch)))
+            pushed = np.concatenate([pushed, batch])
+        n = len(pushed)
+        if len(d) != min(cap, n) or not np.array_equal(d.matrix()[0].reshape(-1, 4),
+                                                       pushed[n - len(d):]):
             ok = False
             break
     results.append(CheckResult("fifo-capacity-and-recency", ok, f"{trials} trials"))
@@ -246,7 +244,7 @@ def run_invariant_checks(trials: int = 1000, seed: int = 777) -> list[CheckResul
                  size=int(rng.integers(0, min(5, num_classes) + 1)), replace=False))
         hard = [int(v) for v in rng.integers(-1, num_classes, size=6)]
         pool = select_priority_pool(gt, hard, t_size, 3, num_classes, rng)
-        if not gt <= pool.labels:
+        if not gt <= set(pool.tolist()):
             ok = False
             break
         expected = min(t_size, num_classes)
@@ -260,10 +258,10 @@ def run_invariant_checks(trials: int = 1000, seed: int = 777) -> list[CheckResul
     for _ in range(trials // 10):
         dim = 8
         table = ClassCenterTable(num_classes=4)
-        for lab in range(4):
-            table.centers[lab] = l2_normalize(rng.normal(size=dim))
+        rows = rng.normal(size=(4, dim))
+        table.update(np.arange(4), rows / np.linalg.norm(rows, axis=1, keepdims=True))
         x = l2_normalize(rng.normal(size=dim))
-        pool = PriorityPool(labels={0, 1, 2, 3}, target_size=4)
+        pool = np.arange(4)
         base, _ = c2hep_loss(x[None], [2], pool, table, lam=10.0)
         table.centers[1] = table.centers[1] * 3.0
         scaled, _ = c2hep_loss(x[None], [2], pool, table, lam=10.0)

@@ -72,6 +72,8 @@ class ExperimentConfig:
             raise ConfigError(
                 f"loss_choice: {self.loss_choice!r} not in {LOSS_CHOICES}"
             )
+        if self.lr_initial < 0 or self.lr_final < 0:
+            raise ConfigError("lr_initial, lr_final: must be >= 0")
         if not (0.0 <= self.lr_drop_frac <= 1.0):
             raise ConfigError("lr_drop_frac: must be in [0, 1]")
         if self.query_count < 1:

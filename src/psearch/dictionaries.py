@@ -7,13 +7,13 @@ center per identity, blended progressively and renormalized.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .errors import DegenerateUpdate, InvalidLabel
-from .numerics import ZERO_NORM_EPS, l2_normalize
+from .errors import DimensionMismatch, InvalidLabel
+from .numerics import ZERO_NORM_EPS
 
 LABEL_UNIDENTIFIED = -1  # person without identity annotation
 LABEL_BACKGROUND = -2    # never stored in any dictionary
@@ -42,13 +42,24 @@ class HyperParams:
             raise ValueError("pool_size must be >= 1")
         if not self.top_negatives >= 0:
             raise ValueError("top_negatives must be >= 0")
+        if not (0.0 <= self.triplet_margin <= 2.0 and -1.0 <= self.contrastive_margin <= 1.0):
+            raise ValueError("triplet_margin must be in [0, 2], contrastive_margin in [-1, 1]")
+
+
+def _rows_for(labels: np.ndarray, features) -> np.ndarray:
+    """features as a float matrix with one row per label."""
+    features = np.asarray(features, dtype=np.float64)
+    if features.ndim != 2 or len(features) != labels.size:
+        raise DimensionMismatch(f"{labels.size} labels but features of shape {features.shape}")
+    return features
 
 
 class FeatureDictionary:
     """Fixed-capacity FIFO buffer of (feature, label) entries.
 
-    Backed by a ring buffer that is read back as one stacked matrix;
-    entries are always exposed in insertion order.
+    Backed by a ring buffer that each push writes in one assignment and
+    that is read back as one stacked matrix; entries are always exposed
+    in insertion order.
     """
 
     def __init__(self, capacity: int):
@@ -57,40 +68,34 @@ class FeatureDictionary:
         self.capacity = capacity
         self._feats: Optional[np.ndarray] = None  # (capacity, dim)
         self._labels = np.empty(capacity, dtype=np.int64)
-        self._size = 0
-        self._head = 0  # slot of the oldest entry once full
+        self._pushed = 0  # rows ever pushed; row t lives in slot t % capacity
 
     def __len__(self) -> int:
-        return self._size
+        return min(self._pushed, self.capacity)
 
-    def _order(self) -> np.ndarray:
-        """Ring slots in insertion order."""
-        if self._size < self.capacity:
-            return np.arange(self._size)
-        return np.concatenate([np.arange(self._head, self.capacity),
-                               np.arange(self._head)])
-
-    def push(self, feature, label: int) -> None:
-        """Append an entry, evicting the oldest when over capacity."""
-        if label < LABEL_UNIDENTIFIED:
-            raise InvalidLabel(f"label {label} not storable")
-        feat = l2_normalize(feature)
+    def push(self, features, labels) -> None:
+        """Append one feature row per label, evicting the oldest entries
+        when over capacity. Rows must be unit-norm; they are stored as
+        given."""
+        labels = np.asarray(labels, dtype=np.int64)
+        if labels.size == 0:
+            return
+        if labels.min() < LABEL_UNIDENTIFIED:
+            raise InvalidLabel(f"label {labels.min()} not storable")
+        features = _rows_for(labels, features)
         if self._feats is None:
-            self._feats = np.empty((self.capacity, feat.size))
-        if self._size < self.capacity:
-            slot = self._size
-            self._size += 1
-        else:
-            slot = self._head
-            self._head = (self._head + 1) % self.capacity
-        self._feats[slot] = feat
-        self._labels[slot] = int(label)
+            self._feats = np.empty((self.capacity, features.shape[1]))
+        # of a push larger than the buffer only its last `capacity` rows survive
+        slots = (self._pushed + np.arange(labels.size))[-self.capacity:] % self.capacity
+        self._feats[slots] = features[-self.capacity:]
+        self._labels[slots] = labels[-self.capacity:]
+        self._pushed += labels.size
 
     def matrix(self):
         """Every entry in insertion order: (feature matrix, label array)."""
-        if self._size == 0:
+        if self._feats is None:
             return np.zeros((0, 0)), np.zeros(0, dtype=np.int64)
-        order = self._order()
+        order = (max(self._pushed - self.capacity, 0) + np.arange(len(self))) % self.capacity
         return self._feats[order], self._labels[order]
 
     def negatives(self, anchor_label: int):
@@ -106,42 +111,45 @@ class FeatureDictionary:
         return feats[keep], labels[keep].tolist()
 
 
-@dataclass
 class ClassCenterTable:
-    """Per-identity running centers, blended by phi and renormalized."""
+    """Per-identity running centers, blended by phi and renormalized: one
+    (num_classes, dim) matrix, allocated at the first update, and a mask
+    of the labels that have a center."""
 
-    num_classes: int
-    phi: float = 0.5
-    centers: dict[int, np.ndarray] = field(default_factory=dict)
-
-    def __post_init__(self):
-        if not (0.0 < self.phi < 1.0):
+    def __init__(self, num_classes: int, phi: float = 0.5):
+        if not (0.0 < phi < 1.0):
             raise ValueError("phi must be in (0, 1)")
+        self.num_classes = num_classes
+        self.phi = phi
+        self.centers: Optional[np.ndarray] = None
+        self.seen = np.zeros(num_classes, dtype=bool)
 
-    @property
-    def observed(self) -> set[int]:
-        return set(self.centers)
+    def update(self, labels, features) -> int:
+        """Blend each unit-norm feature row into its label's center, in row
+        order, and renormalize.
 
-    def has(self, label: int) -> bool:
-        return label in self.centers
-
-    def get(self, label: int) -> np.ndarray:
-        return self.centers[label]
-
-    def update(self, label: int, x) -> None:
-        """Blend x into the stored center and renormalize.
-
-        First observation of a label installs x directly. A blend that
-        cancels to (near) zero keeps the old center and raises
-        DegenerateUpdate so the caller can log the event.
+        The first row of an unseen label installs it. A blend that cancels
+        to (near) zero keeps the old center; returns how many rows did.
         """
-        if not (0 <= label < self.num_classes):
-            raise InvalidLabel(f"label {label} outside [0, {self.num_classes})")
-        x = l2_normalize(x)
-        if label not in self.centers:
-            self.centers[label] = x
-            return
-        raw = self.phi * self.centers[label] + (1.0 - self.phi) * x
-        if float(np.linalg.norm(raw)) < ZERO_NORM_EPS:
-            raise DegenerateUpdate(f"center update for label {label} cancelled")
-        self.centers[label] = l2_normalize(raw)
+        labels = np.asarray(labels, dtype=np.int64)
+        if labels.size and not (labels.min() >= 0 and labels.max() < self.num_classes):
+            raise InvalidLabel(f"labels {labels} outside [0, {self.num_classes})")
+        features = _rows_for(labels, features)
+        if self.centers is None:
+            self.centers = np.zeros((self.num_classes, features.shape[1]))
+        # round r blends the r-th row of every label, so rows of one label go in row order
+        order = np.argsort(labels, kind="stable")
+        occurrence = np.empty_like(order)
+        occurrence[order] = np.arange(labels.size) - np.searchsorted(labels[order], labels[order])
+        degenerate = 0
+        for r in range(occurrence.max(initial=-1) + 1):
+            rows = np.flatnonzero(occurrence == r)
+            lab, x = labels[rows], features[rows]
+            raw = np.where(self.seen[lab, None],
+                           self.phi * self.centers[lab] + (1.0 - self.phi) * x, x)
+            norm = np.sqrt(np.einsum("ij,ij->i", raw, raw))
+            ok = norm >= ZERO_NORM_EPS
+            self.centers[lab[ok]] = raw[ok] / norm[ok, None]
+            self.seen[lab[ok]] = True
+            degenerate += int(np.count_nonzero(~ok))
+        return degenerate

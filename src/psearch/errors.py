@@ -25,10 +25,6 @@ class InvalidLabel(PSearchError):
     pass
 
 
-class DegenerateUpdate(PSearchError):
-    """Center update produced a near-zero vector; old center kept."""
-
-
 class InvalidParams(PSearchError):
     pass
 

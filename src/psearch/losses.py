@@ -19,7 +19,6 @@ import numpy as np
 from .dictionaries import ClassCenterTable, HyperParams
 from .errors import EmptyPool, EmptySubgroups, UninitializedCenter
 from .numerics import softmax
-from .pairing import PriorityPool
 
 
 @dataclass
@@ -28,7 +27,7 @@ class OlpResult:
     q: np.ndarray                 # (m,) positive-pair probability per subgroup
     q_hat: np.ndarray             # (m, K) negative-pair probabilities, 0 where masked
     anchor_gradients: np.ndarray  # (m, dim) d(loss_i)/d(anchor_i), unaveraged
-    hard_ranked: list[int]        # negative labels by descending anchor similarity
+    hard_ranked: np.ndarray       # negative labels by descending anchor similarity
 
 
 @dataclass
@@ -66,7 +65,7 @@ def olp_loss(anchors, positives, anchor_labels, negatives, negative_labels) -> O
     order = np.argsort(-sims[keep], kind="stable")
     ranked = np.broadcast_to(negative_labels, sims.shape)[keep][order]
     return OlpResult(loss=math.fsum(-np.log(q)) / len(anchors), q=q, q_hat=q_hat,
-                     anchor_gradients=grads, hard_ranked=ranked.tolist())
+                     anchor_gradients=grads, hard_ranked=ranked)
 
 
 def _pooled_cross_entropy(scores, pos, n):
@@ -79,19 +78,20 @@ def _pooled_cross_entropy(scores, pos, n):
     return loss, probs / n
 
 
-def hep_loss(scores, labels, pool: PriorityPool) -> tuple[float, np.ndarray]:
-    """Cross-entropy over classifier score rows restricted to the pool.
+def hep_loss(scores, labels, pool) -> tuple[float, np.ndarray]:
+    """Cross-entropy over classifier score rows restricted to the pool, a
+    sorted int array of class labels.
 
     Row i holds the C+1 scores (identities plus background) of a sample
     labeled labels[i]. Samples whose label is outside the pool contribute
     zero loss and zero gradient but still count in the normalization,
     which divides by the total sample count.
     """
-    if len(pool) == 0:
+    pooled = np.asarray(pool, dtype=np.int64)
+    if pooled.size == 0:
         raise EmptyPool("priority pool is empty")
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels)
-    pooled = np.array(pool.sorted_labels())
     grads = np.zeros_like(scores)
     inside = np.flatnonzero(np.isin(labels, pooled))
     if inside.size == 0:
@@ -105,30 +105,32 @@ def hep_loss(scores, labels, pool: PriorityPool) -> tuple[float, np.ndarray]:
 def c2hep_loss(
     features,
     labels,
-    pool: PriorityPool,
+    pool,
     table: ClassCenterTable,
     lam: float,
 ) -> tuple[float, np.ndarray]:
     """Center-based pooled softmax loss with temperature lam.
 
     Scores are lam * cosine(feature row, class center) over the pool
-    classes; cross-entropy against the row's own class. Pool classes
-    whose center is still uninitialized are skipped (they have no score
-    source yet); a sample whose own label lacks a center is an error.
-    Gradients flow to features only; centers are constants here and
-    update separately.
+    classes (a sorted int array); cross-entropy against the row's own
+    class. Pool classes whose center is still uninitialized are skipped
+    (they have no score source yet); a sample whose own label lacks a
+    center is an error. Gradients flow to features only; centers are
+    constants here and update separately.
     """
-    if len(pool) == 0:
+    pooled = np.asarray(pool, dtype=np.int64)
+    if pooled.size == 0:
         raise EmptyPool("priority pool is empty")
-    pooled = [lab for lab in pool.sorted_labels() if lab >= 0 and table.has(lab)]
-    if not pooled:
+    pooled = pooled[(pooled >= 0) & (pooled < table.num_classes)]
+    pooled = pooled[table.seen[pooled]]
+    if pooled.size == 0:
         raise EmptyPool("no pooled class has an initialized center")
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels)
     missing = np.setdiff1d(labels, pooled)
     if missing.size:
         raise UninitializedCenter(f"sample label {missing[0]} not in pool")
-    center_mat = np.stack([table.get(lab) for lab in pooled])
+    center_mat = table.centers[pooled]
     center_mat /= np.linalg.norm(center_mat, axis=1, keepdims=True)  # scores stay cosines
     loss, dscores = _pooled_cross_entropy(
         lam * (features @ center_mat.T), np.searchsorted(pooled, labels), len(labels))

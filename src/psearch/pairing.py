@@ -9,26 +9,9 @@ negative classes, and random fill.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import InvalidParams
-
-
-@dataclass
-class PriorityPool:
-    labels: set[int]
-    target_size: int
-
-    def __contains__(self, label: int) -> bool:
-        return label in self.labels
-
-    def sorted_labels(self) -> list[int]:
-        return sorted(self.labels)
-
-    def __len__(self) -> int:
-        return len(self.labels)
 
 
 def build_subgroups(image_labels: list[np.ndarray]) -> np.ndarray:
@@ -56,21 +39,23 @@ def build_subgroups(image_labels: list[np.ndarray]) -> np.ndarray:
 
 
 def select_priority_pool(
-    gt_labels: set[int],
-    hard_negative_labels: list[int],
+    gt_labels,
+    hard_negative_labels,
     pool_size: int,
     top_negatives: int,
     num_classes: int,
     rng: np.random.Generator,
     extra_labels: set[int] = frozenset(),
-) -> PriorityPool:
-    """Ground-truth labels + top-r hard negatives + random fill.
+) -> np.ndarray:
+    """Ground-truth labels + top-r hard negatives + random fill, as a
+    sorted int array.
 
     hard_negative_labels must be ranked by descending cosine similarity
-    to their anchors. Labels -1 in the ranking are skipped. extra_labels
-    (e.g. a background class index) are always included. If ground truth
-    alone exceeds pool_size the pool keeps everything and may exceed the
-    target; train() counts those iterations and logs them once per run.
+    to their anchors; only its head is read. Labels -1 in the ranking are
+    skipped. extra_labels (e.g. a background class index) are always
+    included. If ground truth alone exceeds pool_size the pool keeps
+    everything and may exceed the target; train() counts those
+    iterations and logs them once per run.
     """
     for lab in gt_labels:
         if not (0 <= lab < num_classes):
@@ -90,6 +75,5 @@ def select_priority_pool(
     remaining = np.array(sorted(set(range(num_classes)) - pool), dtype=np.int64)
     need = target - len(pool)
     if need > 0 and remaining.size > 0:
-        fill = rng.choice(remaining, size=min(need, remaining.size), replace=False)
-        pool.update(int(v) for v in fill)
-    return PriorityPool(labels=pool, target_size=pool_size)
+        pool.update(rng.choice(remaining, size=min(need, remaining.size), replace=False).tolist())
+    return np.array(sorted(pool), dtype=np.int64)

@@ -279,11 +279,12 @@ def train(
 ) -> tuple[ToyEncoder, list[TrainLogRow]]:
     """Four-step loop per iteration: encode, compute losses (detection
     term fixed to zero), SGD step through the normalization Jacobian,
-    then dictionary pushes and center updates.
+    then one dictionary push and one center update.
 
     An iteration is a few arrays: the feature matrix X (one row per
     proposal), its label array y, one read of the dictionary, and one
-    gradient matrix G that every loss term adds into.
+    gradient matrix G that every loss term adds into. Center updates that
+    cancel keep the old center and are logged once per run.
     """
     if loss_choice not in LOSS_TERMS:
         raise InvalidParams(f"unknown loss choice {loss_choice!r}")
@@ -293,11 +294,12 @@ def train(
 
     capacity = dict_multiplier * proposals_per_image * images_per_iter
     dictionary = FeatureDictionary(capacity)
-    centers = ClassCenterTable(num_classes=world.num_identities, phi=hp.phi)
-    if identity == "hep":
+    if identity == "c2hep":
+        centers = ClassCenterTable(num_classes=world.num_identities, phi=hp.phi)
+    elif identity == "hep":
         head = ClassifierHead(world.num_identities, encoder.embed_dim)
     bg_class = world.num_identities
-    overfull = 0
+    overfull = degenerate = 0
 
     log_rows: list[TrainLogRow] = []
     for it in range(iters):
@@ -306,14 +308,15 @@ def train(
                   for img in sample_image_pair(world, proposals_per_image, rng)]
         y = np.concatenate([img.labels for img in images])
         X, cache = encoder.encode(np.concatenate([img.obs for img in images]))
-        if not np.all(np.isfinite(X)):
-            raise DivergenceDetected(f"non-finite features at iteration {it}")
+        # an overflowed encoder norm gives zero rows; no loss or store may see them
+        if not (np.all(np.isfinite(X)) and np.all(X.any(axis=1))):
+            raise DivergenceDetected(f"zero or non-finite features at iteration {it}")
         person = np.flatnonzero(y != LABEL_BACKGROUND)
         labeled = np.flatnonzero(y >= 0)
         G = np.zeros_like(X)
 
         metric_val = 0.0
-        hard_ranked: list[int] = []
+        hard_ranked = np.zeros(0, dtype=np.int64)
         if metric == "olp":
             anchor, positive = build_subgroups([img.labels for img in images]).T
             if anchor.size:
@@ -329,18 +332,19 @@ def train(
         id_val = 0.0
         pool_len = 0
         if identity is not None:
-            gt = set(y[labeled].tolist())
             extra = {bg_class} if identity == "hep" else frozenset()
             pool = select_priority_pool(
-                gt, hard_ranked, hp.pool_size, hp.top_negatives,
+                y[labeled], hard_ranked, hp.pool_size, hp.top_negatives,
                 world.num_identities, rng, extra_labels=extra,
             )
             pool_len = len(pool)
             overfull += pool_len > hp.pool_size
             if identity == "c2hep" and labeled.size:
-                for i, lab in zip(labeled, y[labeled].tolist()):
-                    if not centers.has(lab):
-                        centers.update(lab, X[i])
+                # c2hep_loss needs a center for every row's label: install
+                # unseen labels from their first rows
+                labs, first = np.unique(y[labeled], return_index=True)
+                fresh = labeled[first[~centers.seen[labs]]]
+                degenerate += centers.update(y[fresh], X[fresh])
                 id_val, grads = c2hep_loss(X[labeled], y[labeled], pool, centers, hp.lam)
                 G[labeled] += hp.beta * grads
             elif identity == "hep":
@@ -363,10 +367,9 @@ def train(
         encoder.b -= lr * db
 
         # store after loss computation: current-iteration features never self-match
-        for i, lab in zip(person, y[person].tolist()):
-            dictionary.push(X[i], lab)
-        for i, lab in zip(labeled, y[labeled].tolist()):
-            centers.update(lab, X[i])
+        dictionary.push(X[person], y[person])
+        if identity == "c2hep":
+            degenerate += centers.update(y[labeled], X[labeled])
 
         log_rows.append(TrainLogRow(
             iteration=it, olp=metric_val, id_loss=id_val, total=breakdown.total,
@@ -375,4 +378,7 @@ def train(
     if overfull:
         log.warning("priority pool overfull in %d of %d iterations: ground truth "
                     "alone exceeded pool_size %d", overfull, iters, hp.pool_size)
+    if degenerate:
+        log.warning("degenerate center update in %d rows: the blend cancelled and "
+                    "the old center was kept", degenerate)
     return encoder, log_rows

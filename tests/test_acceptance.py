@@ -19,7 +19,6 @@ from psearch.config import ExperimentConfig
 from psearch.dictionaries import ClassCenterTable
 from psearch.errors import PSearchError
 from psearch.losses import c2hep_loss, hep_loss, olp_loss
-from psearch.pairing import PriorityPool
 from psearch.runner import (
     evaluate_config,
     run_ablation,
@@ -86,21 +85,20 @@ def test_criterion_2_closed_form_spot_values():
               - [-0.26894142136999512, 0.26894142136999512]).max() > 1e-8:
         failures.append("olp gradient")
 
-    pool = PriorityPool(labels={0, 1}, target_size=2)
+    pool = np.array([0, 1])
     hval, _ = hep_loss(np.array([[2.0, 0.0, 0.0]]), [0], pool)
     if abs(hval - 0.12692801104297250) > 1e-8:
         failures.append(f"hep {hval}")
 
     table = ClassCenterTable(num_classes=2)
-    table.update(0, np.array([1.0, 0.0]))
-    table.update(1, np.array([0.0, 1.0]))
+    table.update([0, 1], np.array([[1.0, 0.0], [0.0, 1.0]]))
     cval, _ = c2hep_loss(np.array([[1.0, 0.0]]), [0], pool, table, lam=10.0)
     if abs(cval - math.log(1 + math.exp(-10))) > 1e-12:
         failures.append(f"c2hep {cval}")
 
-    table.update(0, np.array([0.0, 1.0]))
+    table.update([0], np.array([[0.0, 1.0]]))
     s = math.sqrt(2) / 2
-    if np.abs(table.get(0) - [s, s]).max() > 1e-9:
+    if np.abs(table.centers[0] - [s, s]).max() > 1e-9:
         failures.append("center update")
 
     report("2 closed-form-spot-values", not failures, "; ".join(failures))

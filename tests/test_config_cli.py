@@ -181,6 +181,12 @@ class TestCliRun:
         ["--sigma-view", "nan"],
         ["--unlabeled-fraction", "1.5"],
         ["--background-fraction", "-0.5"],
+        ["--lr-initial", "-1"],
+        ["--lr-final", "-0.5"],
+        ["--triplet-margin", "-0.1"],
+        ["--triplet-margin", "2.5"],
+        ["--contrastive-margin", "-3"],
+        ["--contrastive-margin", "1.5"],
     ])
     def test_bad_retrieval_or_world_settings_fail_before_training(self, tmp_path, capsys,
                                                                   flags):
@@ -189,6 +195,12 @@ class TestCliRun:
         assert rc == 2
         assert "config error" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_overflowed_features_exit_3(self, tmp_path, capsys):
+        # the encoder norm overflows to inf after the first step, zeroing every feature row
+        rc = main(["run", *TINY, "--lr-initial", "1e308", "--out-dir", str(tmp_path)])
+        assert rc == 3
+        assert "zero or non-finite features" in capsys.readouterr().err
 
 
 ARTIFACTS = ["config-echo.txt", "eval.csv", "train.csv"]

@@ -16,7 +16,6 @@ from psearch.losses import (
     triplet_loss,
 )
 from psearch.numerics import check_gradient, l2_normalize, make_rng
-from psearch.pairing import PriorityPool
 
 
 def unit(*comps):
@@ -93,17 +92,17 @@ class TestOlpLoss:
 class TestHepLoss:
     def test_frozen_value(self):
         # two pooled classes, scores 2 and 0 at the true label
-        pool = PriorityPool(labels={0, 1}, target_size=2)
+        pool = np.array([0, 1])
         loss, grads = hep_loss(np.array([[2.0, 0.0, 0.0]]), [0], pool)
         assert loss == pytest.approx(0.12692801104297250, abs=1e-15)
 
     def test_uniform_scores_log_pool_size(self):
-        pool = PriorityPool(labels={0, 1, 2, 3}, target_size=4)
+        pool = np.array([0, 1, 2, 3])
         loss, _ = hep_loss(np.zeros((1, 6)), [2], pool)
         assert loss == pytest.approx(math.log(4), abs=1e-12)
 
     def test_outside_pool_contributes_zero(self):
-        pool = PriorityPool(labels={0, 1}, target_size=2)
+        pool = np.array([0, 1])
         scores = np.array([[2.0, 0.0, 0.0], [9.0, 9.0, 9.0]])
         loss, grads = hep_loss(scores, [0, 2], pool)
         # outside sample still counts in the denominator
@@ -111,18 +110,18 @@ class TestHepLoss:
         assert np.all(grads[1] == 0.0)
 
     def test_all_outside_pool_is_zero(self):
-        pool = PriorityPool(labels={0}, target_size=1)
+        pool = np.array([0])
         loss, grads = hep_loss(np.zeros((1, 4)), [3], pool)
         assert loss == 0.0
         assert np.all(grads[0] == 0.0)
 
     def test_empty_pool(self):
         with pytest.raises(EmptyPool):
-            hep_loss(np.zeros((1, 3)), [0], PriorityPool(labels=set(), target_size=0))
+            hep_loss(np.zeros((1, 3)), [0], np.zeros(0, dtype=np.int64))
 
     def test_score_gradient_finite_difference(self):
         rng = make_rng(9)
-        pool = PriorityPool(labels={0, 2, 4}, target_size=3)
+        pool = np.array([0, 2, 4])
         fixed = rng.normal(size=6)
         probe = rng.normal(size=6)
 
@@ -134,7 +133,7 @@ class TestHepLoss:
         assert check_gradient(f, probe, grads[0]) < 1e-6
 
     def test_non_pooled_scores_get_zero_gradient(self):
-        pool = PriorityPool(labels={0, 1}, target_size=2)
+        pool = np.array([0, 1])
         _, grads = hep_loss(np.array([[1.0, 0.5, 3.0]]), [1], pool)
         assert grads[0][2] == 0.0
 
@@ -142,39 +141,38 @@ class TestHepLoss:
 class TestC2hepLoss:
     def make_table(self):
         t = ClassCenterTable(num_classes=4)
-        t.update(0, unit(1, 0, 0))
-        t.update(1, unit(0, 1, 0))
+        t.update([0, 1], [unit(1, 0, 0), unit(0, 1, 0)])
         return t
 
     def test_frozen_value_matched_center(self):
         # feature equals its own center, other center orthogonal, lam 10:
         # loss = log(1 + e^-10), recomputed at 50 digits
         table = self.make_table()
-        pool = PriorityPool(labels={0, 1}, target_size=2)
+        pool = np.array([0, 1])
         loss, _ = c2hep_loss([unit(1, 0, 0)], [0], pool, table, lam=10.0)
         assert loss == pytest.approx(4.5398899216864647e-05, rel=1e-12)
 
     def test_uninitialized_pool_classes_skipped(self):
         table = self.make_table()
-        pool = PriorityPool(labels={0, 1, 3}, target_size=3)
+        pool = np.array([0, 1, 3])
         loss, _ = c2hep_loss([unit(1, 0, 0)], [0], pool, table, lam=10.0)
         assert loss == pytest.approx(4.5398899216864647e-05, rel=1e-12)
 
     def test_own_label_without_center_raises(self):
         table = self.make_table()
-        pool = PriorityPool(labels={0, 1, 3}, target_size=3)
+        pool = np.array([0, 1, 3])
         with pytest.raises(UninitializedCenter):
             c2hep_loss([unit(1, 1, 1)], [3], pool, table, lam=10.0)
 
     def test_no_initialized_centers_raises(self):
         table = ClassCenterTable(num_classes=4)
-        pool = PriorityPool(labels={2, 3}, target_size=2)
+        pool = np.array([2, 3])
         with pytest.raises(EmptyPool):
             c2hep_loss([unit(1, 0, 0)], [2], pool, table, lam=10.0)
 
     def test_mean_over_samples(self):
         table = self.make_table()
-        pool = PriorityPool(labels={0, 1}, target_size=2)
+        pool = np.array([0, 1])
         one, _ = c2hep_loss([unit(1, 0, 0)], [0], pool, table, lam=10.0)
         both, _ = c2hep_loss([unit(1, 0, 0), unit(0, 1, 0)], [0, 1], pool, table, lam=10.0)
         assert both == pytest.approx(one, rel=1e-12)
@@ -182,9 +180,8 @@ class TestC2hepLoss:
     def test_feature_gradient_finite_difference(self):
         rng = make_rng(21)
         table = ClassCenterTable(num_classes=5)
-        for lab in range(5):
-            table.update(lab, l2_normalize(rng.normal(size=6)))
-        pool = PriorityPool(labels={0, 1, 2, 3, 4}, target_size=5)
+        table.update(np.arange(5), unit_rows(rng, 5, dim=6))
+        pool = np.array([0, 1, 2, 3, 4])
         x = l2_normalize(rng.normal(size=6))
         other = l2_normalize(rng.normal(size=6))
 
@@ -200,9 +197,8 @@ class TestC2hepLoss:
         # stored center must not change anything
         rng = make_rng(4)
         table = ClassCenterTable(num_classes=2)
-        table.update(0, unit(1, 0))
-        table.update(1, unit(0, 1))
-        pool = PriorityPool(labels={0, 1}, target_size=2)
+        table.update([0, 1], [unit(1, 0), unit(0, 1)])
+        pool = np.array([0, 1])
         x = l2_normalize(rng.normal(size=2))
         base, _ = c2hep_loss([x], [0], pool, table, lam=10.0)
         table.centers[1] = table.centers[1] * 3.0
@@ -257,7 +253,7 @@ class TestArrayLossesMatchOracles:
         labels = rng.integers(0, num_classes + 1, size=n)
         pooled = rng.choice(num_classes + 1, size=int(rng.integers(1, num_classes + 2)),
                             replace=False)
-        pool = PriorityPool(labels=set(pooled.tolist()), target_size=len(pooled))
+        pool = np.sort(pooled)
         scores = 3.0 * rng.normal(size=(n, num_classes + 1))
         assert_matches(hep_loss(scores, labels, pool), hep_oracle(scores, labels, pool))
 
@@ -266,16 +262,15 @@ class TestArrayLossesMatchOracles:
     def test_c2hep(self, seed, n, num_classes):
         rng = make_rng(seed)
         table = ClassCenterTable(num_classes=num_classes + 2)
-        for lab in range(num_classes):
-            table.update(lab, l2_normalize(rng.normal(size=4)))
+        table.update(np.arange(num_classes), unit_rows(rng, num_classes))
         labels = rng.integers(0, num_classes, size=n)
         # the pool may hold a class without a center, which is skipped
-        pool = PriorityPool(labels=set(range(num_classes + 1)), target_size=num_classes + 1)
+        pool = np.arange(num_classes + 1)
         x = unit_rows(rng, n)
         got = c2hep_loss(x, labels, pool, table, lam=10.0)
         assert_matches(got, c2hep_oracle(x, labels, pool, table, lam=10.0))
         # center-scale invariance: centers are read through normalization
-        table.centers[int(labels[0])] = 3.0 * table.get(int(labels[0]))
+        table.centers[labels[0]] *= 3.0
         assert abs(c2hep_loss(x, labels, pool, table, lam=10.0)[0] - got[0]) <= 1e-12
 
     @given(st.integers(0, 2**32 - 1), st.lists(st.integers(-1, 3), max_size=12))

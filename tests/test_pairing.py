@@ -19,9 +19,7 @@ def images(*label_lists):
 @pytest.fixture
 def filled_dict():
     d = FeatureDictionary(8)
-    d.push(unit(1, 0, 0), 7)
-    d.push(unit(0, 1, 0), -1)
-    d.push(unit(0, 0, 1), 9)
+    d.push(np.eye(3), [7, -1, 9])
     return d
 
 
@@ -42,7 +40,7 @@ class TestBuildSubgroups:
         feats, labels = np.array([unit(1, 1, 0), unit(1, 0, 1)]), np.array([3, 3])
         res = olp_of(build_subgroups(images([3], [3])), feats, labels, filled_dict)
         assert np.all(res.q_hat > 0.0) and res.q_hat.shape == (2, 3)
-        assert sorted(res.hard_ranked) == [-1, -1, 7, 7, 9, 9]
+        assert sorted(res.hard_ranked.tolist()) == [-1, -1, 7, 7, 9, 9]
 
     def test_anchor_label_excluded_from_negatives(self, filled_dict):
         feats, labels = np.array([unit(1, 1, 0), unit(1, 0, 1)]), np.array([7, 7])
@@ -67,39 +65,46 @@ class TestBuildSubgroups:
             build_subgroups(images([1]))
 
 
+def labels_of(pool):
+    """The pool's labels as a set, after checking it is a sorted int array
+    without repeats."""
+    assert pool.dtype == np.int64 and np.all(np.diff(pool) > 0)
+    return set(pool.tolist())
+
+
 class TestSelectPriorityPool:
     def test_forced_membership(self):
-        pool = select_priority_pool({3, 7}, [9], 5, 10, 20, make_rng(0))
-        assert {3, 7, 9} <= pool.labels
+        pool = select_priority_pool({3, 7}, np.array([9]), 5, 10, 20, make_rng(0))
+        assert {3, 7, 9} <= labels_of(pool)
         assert len(pool) == 5
 
     def test_degenerate_clamp(self):
         pool = select_priority_pool({0}, [], 100, 10, 4, make_rng(0))
-        assert pool.labels == {0, 1, 2, 3}
+        assert labels_of(pool) == {0, 1, 2, 3}
 
     def test_hard_label_already_in_gt_deduplicated(self):
         pool = select_priority_pool({3}, [3], 4, 10, 20, make_rng(0))
         assert len(pool) == 4
 
     def test_unlabeled_skipped_in_hard_ranking(self):
-        pool = select_priority_pool(set(), [-1, 5], 2, 10, 20, make_rng(0))
-        assert 5 in pool.labels
+        pool = select_priority_pool(set(), np.array([-1, 5]), 2, 10, 20, make_rng(0))
+        assert 5 in labels_of(pool)
 
     def test_top_r_limit(self):
-        pool = select_priority_pool(set(), [1, 2, 3, 4], 10, 2, 20, make_rng(0))
-        assert {1, 2} <= pool.labels
+        pool = select_priority_pool(set(), np.array([1, 2, 3, 4]), 10, 2, 20, make_rng(0))
+        assert {1, 2} <= labels_of(pool)
         # labels 3, 4 only by random fill, not forced
         assert len(pool) == 10
 
     def test_deterministic_given_rng(self):
         p1 = select_priority_pool({1}, [4], 8, 10, 50, make_rng(123))
         p2 = select_priority_pool({1}, [4], 8, 10, 50, make_rng(123))
-        assert p1.labels == p2.labels
+        assert np.array_equal(p1, p2)
 
     def test_gt_overflow_keeps_all(self):
         # train() counts such iterations and warns once per run
-        pool = select_priority_pool({0, 1, 2, 3}, [], 2, 0, 10, make_rng(0))
-        assert {0, 1, 2, 3} <= pool.labels
+        pool = select_priority_pool(np.array([3, 0, 1, 2, 0]), [], 2, 0, 10, make_rng(0))
+        assert labels_of(pool) == {0, 1, 2, 3}
 
     def test_invalid_gt_label(self):
         with pytest.raises(InvalidParams):
@@ -111,4 +116,4 @@ class TestSelectPriorityPool:
             n = int(rng.integers(5, 40))
             gt = {int(v) for v in rng.choice(n, size=3, replace=False)}
             pool = select_priority_pool(gt, [], 10, 5, n, rng)
-            assert gt <= pool.labels
+            assert gt <= labels_of(pool)

@@ -17,7 +17,7 @@ from psearch.dictionaries import (
 from psearch.errors import DivergenceDetected, EmptySubgroups, InvalidParams
 from psearch.losses import c2hep_loss, olp_loss
 from psearch.numerics import check_gradient, l2_normalize, make_rng
-from psearch.pairing import PriorityPool, build_subgroups
+from psearch.pairing import build_subgroups
 from psearch.runner import train_from_config
 from psearch.simulator import (
     ClassifierHead,
@@ -164,12 +164,10 @@ def test_end_to_end_weight_gradient():
     obs = rng.normal(size=(4, obs_dim))
     labels = np.array([0, 1, 0, 2])
     dictionary = FeatureDictionary(10)
-    for lab in (1, 2, 3, 4):
-        dictionary.push(l2_normalize(rng.normal(size=embed_dim)), lab)
+    dictionary.push([l2_normalize(v) for v in rng.normal(size=(4, embed_dim))], [1, 2, 3, 4])
     table = ClassCenterTable(num_classes=5)
-    for lab in range(5):
-        table.update(lab, l2_normalize(rng.normal(size=embed_dim)))
-    pool = PriorityPool(labels={0, 1, 2, 3, 4}, target_size=5)
+    table.update(np.arange(5), [l2_normalize(v) for v in rng.normal(size=(5, embed_dim))])
+    pool = np.arange(5)
     frozen = enc.encode(obs)[0]
     # the two label-0 proposals anchor against each other's frozen feature
     anchor, positive = build_subgroups([labels[:2], labels[2:]]).T
@@ -212,9 +210,9 @@ class TestSchedule:
 class RecordingDictionary(FeatureDictionary):
     pushed_labels: list = []
 
-    def push(self, feature, label):
-        RecordingDictionary.pushed_labels.append(label)
-        super().push(feature, label)
+    def push(self, features, labels):
+        RecordingDictionary.pushed_labels.extend(labels.tolist())
+        super().push(features, labels)
 
 
 class TestTrain:
@@ -293,6 +291,16 @@ class TestTrain:
             train(w, enc, HyperParams(), Schedule(float("inf"), float("inf")),
                   "olp+c2hep", 2, 4, 50, make_rng(1))
 
+    @pytest.mark.filterwarnings("ignore:overflow")
+    def test_overflowed_features_detected(self):
+        # lr 1e308 overflows the encoder norm, so the features become exact
+        # zeros; they must stop training before any loss or store sees them
+        w = self.small_world(seed=1)
+        enc = ToyEncoder(16, 8, seed=1)
+        with pytest.raises(DivergenceDetected, match="zero or non-finite features"):
+            train(w, enc, HyperParams(), Schedule(1e308, 1e308),
+                  "olp+c2hep", 2, 4, 50, make_rng(1))
+
     def test_dictionary_gives_negatives_with_two_images(self):
         # the stagnation remedy: after one iteration the dictionary is
         # non-empty, so subgroups with images_per_iter=2 see K > 0
@@ -314,6 +322,30 @@ def test_overfull_pool_warns_once_per_run(caplog):
     assert "overfull" in caplog.records[0].getMessage()
 
 
+def test_degenerate_center_updates_warn_once_per_run(caplog, monkeypatch):
+    """Every row blended into a seen center is made antipodal to it, so
+    each blend cancels; the run logs that once, with the count of
+    cancelled rows."""
+    counts = []
+    blend = ClassCenterTable.update
+
+    def antipodal_update(self, labels, features):
+        if self.centers is not None:
+            features = np.where(self.seen[labels, None], -self.centers[labels], features)
+        counts.append(blend(self, labels, features))
+        return counts[-1]
+
+    monkeypatch.setattr(ClassCenterTable, "update", antipodal_update)
+    w = generate_world(10, latent_dim=4, obs_dim=16, seed=4)
+    with caplog.at_level(logging.WARNING):
+        train(w, ToyEncoder(16, 8, seed=4), HyperParams(pool_size=20), Schedule(),
+              "olp+c2hep", 2, 4, 20, make_rng(4))
+    assert sum(counts) > 0
+    assert [r.getMessage() for r in caplog.records] == [
+        f"degenerate center update in {sum(counts)} rows: the blend cancelled "
+        "and the old center was kept"]
+
+
 proposal = st.tuples(st.integers(0, 3), st.integers(LABEL_BACKGROUND, 4))
 
 
@@ -329,8 +361,7 @@ def test_olp_matches_per_subgroup_oracle(seed, stored, images):
     exact ties, which both must order by subgroup, then dictionary."""
     base = [l2_normalize(v) for v in make_rng(seed).normal(size=(4, 3))]
     dictionary = FeatureDictionary(25)
-    for k, lab in stored:
-        dictionary.push(base[k], lab)
+    dictionary.push([base[k] for k, _ in stored], [lab for _, lab in stored])
     images = images[:len(images) // 2 * 2]
     feats = np.array([base[k] for img in images for k, _ in img])
     labels = np.array([lab for img in images for _, lab in img])
@@ -343,7 +374,6 @@ def test_olp_matches_per_subgroup_oracle(seed, stored, images):
 
     res = olp_loss(feats[anchor], feats[positive], labels[anchor], *dictionary.matrix())
     loss, grads, ranked = olp_oracle(feats[anchor], feats[positive], labels[anchor], dictionary)
-    assert res.hard_ranked == ranked
-    assert all(type(lab) is int for lab in res.hard_ranked)
+    assert res.hard_ranked.tolist() == ranked
     assert abs(res.loss - loss) <= 1e-12
     np.testing.assert_allclose(res.anchor_gradients, grads, rtol=0, atol=1e-12)
