@@ -57,17 +57,17 @@ def _rows_for(labels: np.ndarray, features) -> np.ndarray:
 class FeatureDictionary:
     """Fixed-capacity FIFO buffer of (feature, label) entries.
 
-    Backed by a ring buffer that each push writes in one assignment and
-    that is read back as one stacked matrix; entries are always exposed
-    in insertion order.
+    Backed by a mirrored ring buffer: slot s is stored twice, at rows s
+    and s + capacity, so the entries in insertion order are always one
+    contiguous slice, read in place without a copy.
     """
 
     def __init__(self, capacity: int):
         if capacity < 1:
             raise ValueError("capacity must be positive")
         self.capacity = capacity
-        self._feats: Optional[np.ndarray] = None  # (capacity, dim)
-        self._labels = np.empty(capacity, dtype=np.int64)
+        self._feats: Optional[np.ndarray] = None  # (2 * capacity, dim)
+        self._labels = np.empty(2 * capacity, dtype=np.int64)
         self._pushed = 0  # rows ever pushed; row t lives in slot t % capacity
 
     def __len__(self) -> int:
@@ -84,19 +84,22 @@ class FeatureDictionary:
             raise InvalidLabel(f"label {labels.min()} not storable")
         features = _rows_for(labels, features)
         if self._feats is None:
-            self._feats = np.empty((self.capacity, features.shape[1]))
+            self._feats = np.empty((2 * self.capacity, features.shape[1]))
         # of a push larger than the buffer only its last `capacity` rows survive
         slots = (self._pushed + np.arange(labels.size))[-self.capacity:] % self.capacity
-        self._feats[slots] = features[-self.capacity:]
-        self._labels[slots] = labels[-self.capacity:]
+        self._feats[slots] = self._feats[slots + self.capacity] = features[-self.capacity:]
+        self._labels[slots] = self._labels[slots + self.capacity] = labels[-self.capacity:]
         self._pushed += labels.size
 
     def matrix(self):
-        """Every entry in insertion order: (feature matrix, label array)."""
+        """Every entry in insertion order: (feature matrix, label array),
+        read-only views of the buffer."""
         if self._feats is None:
             return np.zeros((0, 0)), np.zeros(0, dtype=np.int64)
-        order = (max(self._pushed - self.capacity, 0) + np.arange(len(self))) % self.capacity
-        return self._feats[order], self._labels[order]
+        start = max(self._pushed - self.capacity, 0) % self.capacity
+        feats, labels = self._feats[start:start + len(self)], self._labels[start:start + len(self)]
+        feats.flags.writeable = labels.flags.writeable = False
+        return feats, labels
 
     def negatives(self, anchor_label: int):
         """Features of entries whose label differs from anchor_label.
@@ -135,6 +138,8 @@ class ClassCenterTable:
         if labels.size and not (labels.min() >= 0 and labels.max() < self.num_classes):
             raise InvalidLabel(f"labels {labels} outside [0, {self.num_classes})")
         features = _rows_for(labels, features)
+        if labels.size == 0:
+            return 0
         if self.centers is None:
             self.centers = np.zeros((self.num_classes, features.shape[1]))
         # round r blends the r-th row of every label, so rows of one label go in row order
@@ -142,7 +147,7 @@ class ClassCenterTable:
         occurrence = np.empty_like(order)
         occurrence[order] = np.arange(labels.size) - np.searchsorted(labels[order], labels[order])
         degenerate = 0
-        for r in range(occurrence.max(initial=-1) + 1):
+        for r in range(occurrence.max() + 1):
             rows = np.flatnonzero(occurrence == r)
             lab, x = labels[rows], features[rows]
             raw = np.where(self.seen[lab, None],

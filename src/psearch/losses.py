@@ -27,7 +27,7 @@ class OlpResult:
     q: np.ndarray                 # (m,) positive-pair probability per subgroup
     q_hat: np.ndarray             # (m, K) negative-pair probabilities, 0 where masked
     anchor_gradients: np.ndarray  # (m, dim) d(loss_i)/d(anchor_i), unaveraged
-    hard_ranked: np.ndarray       # negative labels by descending anchor similarity
+    hard_ranked: np.ndarray       # distinct negative labels, hardest first
 
 
 @dataclass
@@ -47,9 +47,11 @@ def olp_loss(anchors, positives, anchor_labels, negatives, negative_labels) -> O
     subgroup the positive-pair similarity competes with every remaining
     negative-pair similarity in one softmax; the loss is the mean
     negative log of the positive share. The anchor gradient is
-    (q - 1) * positive + sum_k q_hat_k * negative_k. hard_ranked lists the
-    labels of every unmasked (subgroup, negative) similarity, highest
-    first; ties keep subgroup, then dictionary, order.
+    (q - 1) * positive + sum_k q_hat_k * negative_k. hard_ranked lists each
+    distinct label of the unmasked (subgroup, negative) similarities once,
+    in the order a stable descending sort of all of them first reaches it:
+    by the label's highest similarity, ties by subgroup, then dictionary
+    position.
     """
     anchors = np.asarray(anchors, dtype=np.float64)
     if len(anchors) == 0:
@@ -57,15 +59,20 @@ def olp_loss(anchors, positives, anchor_labels, negatives, negative_labels) -> O
     negatives = np.reshape(negatives, (-1, anchors.shape[1]))
     negative_labels = np.asarray(negative_labels)
     keep = negative_labels[None, :] != np.asarray(anchor_labels)[:, None]
-    sims = anchors @ negatives.T
+    sims = np.where(keep, anchors @ negatives.T, -np.inf)
     d_pos = np.einsum("ij,ij->i", anchors, positives)
-    probs = softmax(np.column_stack([d_pos, np.where(keep, sims, -np.inf)]))
+    probs = softmax(np.column_stack([d_pos, sims]))
     q, q_hat = probs[:, 0], probs[:, 1:]
     grads = (q - 1.0)[:, None] * positives + q_hat @ negatives
-    order = np.argsort(-sims[keep], kind="stable")
-    ranked = np.broadcast_to(negative_labels, sims.shape)[keep][order]
+    # a stable descending sort of all unmasked similarities first reaches a
+    # column at its best (first) row, flat index row * K + col
+    best = sims.max(axis=0)
+    col = np.flatnonzero(best > -np.inf)
+    flat = sims.argmax(axis=0)[col] * sims.shape[1] + col
+    ranked = negative_labels[col[np.lexsort((flat, -best[col]))]]
+    _, first = np.unique(ranked, return_index=True)
     return OlpResult(loss=math.fsum(-np.log(q)) / len(anchors), q=q, q_hat=q_hat,
-                     anchor_gradients=grads, hard_ranked=ranked)
+                     anchor_gradients=grads, hard_ranked=ranked[np.sort(first)])
 
 
 def _pooled_cross_entropy(scores, pos, n):
@@ -127,13 +134,13 @@ def c2hep_loss(
         raise EmptyPool("no pooled class has an initialized center")
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels)
-    missing = np.setdiff1d(labels, pooled)
+    pos = np.searchsorted(pooled, labels)
+    missing = labels[pooled[np.minimum(pos, pooled.size - 1)] != labels]
     if missing.size:
-        raise UninitializedCenter(f"sample label {missing[0]} not in pool")
+        raise UninitializedCenter(f"sample label {missing.min()} not in pool")
     center_mat = table.centers[pooled]
     center_mat /= np.linalg.norm(center_mat, axis=1, keepdims=True)  # scores stay cosines
-    loss, dscores = _pooled_cross_entropy(
-        lam * (features @ center_mat.T), np.searchsorted(pooled, labels), len(labels))
+    loss, dscores = _pooled_cross_entropy(lam * (features @ center_mat.T), pos, len(labels))
     return loss, lam * (dscores @ center_mat)
 
 

@@ -27,15 +27,11 @@ def build_subgroups(image_labels: list[np.ndarray]) -> np.ndarray:
     """
     if len(image_labels) % 2:
         raise InvalidParams(f"images must come in pairs, got {len(image_labels)}")
-    subgroups = [np.zeros((0, 2), dtype=np.int64)]
-    start = 0
-    for first, second in zip(image_labels[::2], image_labels[1::2]):
-        labels = np.concatenate([first, second])
-        same = np.triu(labels[:, None] == labels[None, :], 1) & (labels[:, None] >= 0)
-        pairs = np.argwhere(same) + start
-        subgroups.append(np.stack([pairs, pairs[:, ::-1]], axis=1).reshape(-1, 2))
-        start += labels.size
-    return np.concatenate(subgroups)
+    labels = np.concatenate([np.zeros(0, dtype=np.int64), *image_labels])
+    pair = np.repeat(np.arange(len(image_labels)) // 2, [len(lab) for lab in image_labels])
+    same = (labels[:, None] == labels) & (pair[:, None] == pair) & (labels[:, None] >= 0)
+    pairs = np.argwhere(np.triu(same, 1))
+    return np.stack([pairs, pairs[:, ::-1]], axis=1).reshape(-1, 2)
 
 
 def select_priority_pool(
@@ -72,7 +68,9 @@ def select_priority_pool(
             raise InvalidParams(f"hard-negative label {lab} outside [0, {num_classes})")
         pool.add(lab)
         taken += 1
-    remaining = np.array(sorted(set(range(num_classes)) - pool), dtype=np.int64)
+    free = np.ones(num_classes, dtype=bool)
+    free[[lab for lab in pool if lab < num_classes]] = False  # not extra labels past the classes
+    remaining = np.flatnonzero(free)
     need = target - len(pool)
     if need > 0 and remaining.size > 0:
         pool.update(rng.choice(remaining, size=min(need, remaining.size), replace=False).tolist())

@@ -1,3 +1,5 @@
+from collections import deque
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -78,20 +80,24 @@ class TestFeatureDictionary:
     @settings(max_examples=100, deadline=None)
     def test_batches_keep_last_capacity_rows(self, seed, capacity, sizes):
         """Pushing batches of any size, one larger than the buffer
-        included, leaves the last `capacity` rows of their concatenation,
-        stored as given."""
+        included, leaves the last `capacity` rows, stored as given: after
+        every push (so across wrap-arounds) matrix() equals a per-row FIFO
+        reference, and is a read-only view of the buffer, not a copy."""
         rng = make_rng(seed)
         d = FeatureDictionary(capacity)
-        feats, labels = np.zeros((0, 3)), np.zeros(0, dtype=np.int64)
+        reference = deque(maxlen=capacity)
         for n in sizes:
             batch, batch_labels = rng.normal(size=(n, 3)), rng.integers(-1, 6, size=n)
             d.push(batch, batch_labels)
-            feats, labels = np.concatenate([feats, batch]), np.concatenate([labels, batch_labels])
-        got_feats, got_labels = d.matrix()
-        keep = min(capacity, len(labels))
-        assert len(d) == keep
-        assert np.array_equal(got_feats.reshape(-1, 3), feats[len(feats) - keep:])
-        assert np.array_equal(got_labels, labels[len(labels) - keep:])
+            reference.extend(zip(batch, batch_labels))
+            got_feats, got_labels = d.matrix()
+            assert len(d) == len(reference)
+            assert np.array_equal(got_feats.reshape(-1, 3), np.reshape([f for f, _ in reference], (-1, 3)))
+            assert got_labels.tolist() == [lab for _, lab in reference]
+            if reference:
+                assert np.shares_memory(got_feats, d._feats)
+                assert np.shares_memory(got_labels, d._labels)
+                assert not (got_feats.flags.writeable or got_labels.flags.writeable)
 
 
 def reference_centers(labels, features, phi):
@@ -126,6 +132,15 @@ class TestClassCenterTable:
         t.update([3], rows(unit(0, 1)))
         assert np.allclose(t.centers[3], [0, 1])
         assert np.flatnonzero(t.seen).tolist() == [3]
+
+    def test_empty_update_changes_nothing(self):
+        t = ClassCenterTable(num_classes=3)
+        assert t.update([], np.zeros((0, 2))) == 0
+        assert t.centers is None and not t.seen.any()
+        t.update([1], rows(unit(1, 0)))
+        centers, seen = t.centers.copy(), t.seen.copy()
+        assert t.update(np.zeros(0, dtype=np.int64), np.zeros((0, 2))) == 0
+        assert np.array_equal(t.centers, centers) and np.array_equal(t.seen, seen)
 
     def test_invalid_label(self):
         t = ClassCenterTable(num_classes=4)

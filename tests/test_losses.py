@@ -164,6 +164,14 @@ class TestC2hepLoss:
         with pytest.raises(UninitializedCenter):
             c2hep_loss([unit(1, 1, 1)], [3], pool, table, lam=10.0)
 
+    @pytest.mark.parametrize("labels, missing", [([3, 0, 2, 1], 2), ([1, 5, 0], 5), ([0, -1], -1)])
+    def test_uninitialized_names_smallest_missing_label(self, labels, missing):
+        # pooled classes with a center are 0 and 1; labels below, between and past them
+        table = self.make_table()
+        feats = np.tile(unit(1, 0, 0), (len(labels), 1))
+        with pytest.raises(UninitializedCenter, match=f"^sample label {missing} not in pool$"):
+            c2hep_loss(feats, labels, np.arange(4), table, lam=10.0)
+
     def test_no_initialized_centers_raises(self):
         table = ClassCenterTable(num_classes=4)
         pool = np.array([2, 3])

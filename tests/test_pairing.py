@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from psearch.dictionaries import FeatureDictionary
 from psearch.errors import InvalidParams
@@ -40,13 +41,13 @@ class TestBuildSubgroups:
         feats, labels = np.array([unit(1, 1, 0), unit(1, 0, 1)]), np.array([3, 3])
         res = olp_of(build_subgroups(images([3], [3])), feats, labels, filled_dict)
         assert np.all(res.q_hat > 0.0) and res.q_hat.shape == (2, 3)
-        assert sorted(res.hard_ranked.tolist()) == [-1, -1, 7, 7, 9, 9]
+        assert sorted(res.hard_ranked.tolist()) == [-1, 7, 9]
 
     def test_anchor_label_excluded_from_negatives(self, filled_dict):
         feats, labels = np.array([unit(1, 1, 0), unit(1, 0, 1)]), np.array([7, 7])
         res = olp_of(build_subgroups(images([7], [7])), feats, labels, filled_dict)
         assert np.all(res.q_hat[:, 0] == 0.0) and np.all(res.q_hat[:, 1:] > 0.0)
-        assert 7 not in res.hard_ranked and len(res.hard_ranked) == 4
+        assert sorted(res.hard_ranked.tolist()) == [-1, 9]
 
     def test_unlabeled_and_background_never_pair(self):
         assert len(build_subgroups(images([-1, -2], [-1, -2]))) == 0
@@ -63,6 +64,30 @@ class TestBuildSubgroups:
     def test_requires_two_images(self):
         with pytest.raises(InvalidParams):
             build_subgroups(images([1]))
+
+    @given(st.lists(st.lists(st.integers(-2, 4), max_size=6), max_size=8))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_per_pair_loop(self, label_lists):
+        """Uneven (and empty) images: the same rows in the same order as
+        one pass per image pair."""
+        image_labels = images(*label_lists[:len(label_lists) // 2 * 2])
+        got = build_subgroups(image_labels)
+        assert got.dtype == np.int64
+        assert got.tolist() == per_pair_subgroups(image_labels).tolist()
+
+
+def per_pair_subgroups(image_labels):
+    """Reference: the subgroups of each image pair, one pair at a time,
+    with rows offset by the images before it."""
+    subgroups, start = [], 0
+    for first, second in zip(image_labels[::2], image_labels[1::2]):
+        labels = np.concatenate([first, second])
+        for i in range(labels.size):
+            for j in range(i + 1, labels.size):
+                if labels[i] >= 0 and labels[i] == labels[j]:
+                    subgroups += [[start + i, start + j], [start + j, start + i]]
+        start += labels.size
+    return np.array(subgroups, dtype=np.int64).reshape(-1, 2)
 
 
 def labels_of(pool):
@@ -117,3 +142,42 @@ class TestSelectPriorityPool:
             gt = {int(v) for v in rng.choice(n, size=3, replace=False)}
             pool = select_priority_pool(gt, [], 10, 5, n, rng)
             assert gt <= labels_of(pool)
+
+
+def set_arithmetic_pool(gt_labels, hard_negative_labels, pool_size, top_negatives,
+                        num_classes, rng, extra_labels=frozenset()):
+    """Reference: select_priority_pool with the random fill drawn from
+    sorted(set(range(num_classes)) - pool)."""
+    pool = set(gt_labels) | set(extra_labels)
+    target = min(pool_size, num_classes + len(extra_labels))
+    taken = 0
+    for lab in hard_negative_labels:
+        if taken >= top_negatives or len(pool) >= target:
+            break
+        if lab < 0 or lab in pool:
+            continue
+        pool.add(lab)
+        taken += 1
+    remaining = np.array(sorted(set(range(num_classes)) - pool), dtype=np.int64)
+    need = target - len(pool)
+    if need > 0 and remaining.size > 0:
+        pool.update(rng.choice(remaining, size=min(need, remaining.size), replace=False).tolist())
+    return np.array(sorted(pool), dtype=np.int64)
+
+
+@given(seed=st.integers(0, 2**32 - 1), num_classes=st.integers(1, 30),
+       data=st.data(), pool_size=st.integers(1, 40), top_negatives=st.integers(0, 12),
+       with_extra=st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_pool_matches_set_arithmetic(seed, num_classes, data, pool_size, top_negatives, with_extra):
+    """Equal pools, and the generator left in the same state, so every
+    later draw of a training run is unchanged."""
+    gt = data.draw(st.lists(st.integers(0, num_classes - 1), max_size=8))
+    hard = data.draw(st.lists(st.integers(-1, num_classes - 1), max_size=20))
+    extra = {num_classes} if with_extra else frozenset()
+    rng, ref_rng = make_rng(seed), make_rng(seed)
+    pool = select_priority_pool(np.array(gt, dtype=np.int64), np.array(hard, dtype=np.int64),
+                                pool_size, top_negatives, num_classes, rng, extra_labels=extra)
+    want = set_arithmetic_pool(gt, hard, pool_size, top_negatives, num_classes, ref_rng, extra)
+    assert pool.dtype == np.int64 and pool.tolist() == want.tolist()
+    assert rng.bit_generator.state == ref_rng.bit_generator.state

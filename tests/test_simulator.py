@@ -358,7 +358,8 @@ def test_olp_matches_per_subgroup_oracle(seed, stored, images):
     """train()'s OLP path (build_subgroups, one dictionary read, olp_loss)
     against checks.olp_oracle. Features are copies of four base vectors,
     so equal similarities (within one subgroup and across subgroups) are
-    exact ties, which both must order by subgroup, then dictionary."""
+    exact ties, which both must order by subgroup, then dictionary;
+    olp_loss keeps each label's first place in the oracle's ranking."""
     base = [l2_normalize(v) for v in make_rng(seed).normal(size=(4, 3))]
     dictionary = FeatureDictionary(25)
     dictionary.push([base[k] for k, _ in stored], [lab for _, lab in stored])
@@ -374,6 +375,6 @@ def test_olp_matches_per_subgroup_oracle(seed, stored, images):
 
     res = olp_loss(feats[anchor], feats[positive], labels[anchor], *dictionary.matrix())
     loss, grads, ranked = olp_oracle(feats[anchor], feats[positive], labels[anchor], dictionary)
-    assert res.hard_ranked.tolist() == ranked
+    assert res.hard_ranked.tolist() == list(dict.fromkeys(ranked))
     assert abs(res.loss - loss) <= 1e-12
     np.testing.assert_allclose(res.anchor_gradients, grads, rtol=0, atol=1e-12)
