@@ -62,11 +62,13 @@ class FeatureDictionary:
     contiguous slice, read in place without a copy.
     """
 
-    def __init__(self, capacity: int):
+    def __init__(self, capacity: int, dim: Optional[int] = None):
+        """With dim the buffer is allocated now, before whatever the caller
+        allocates next; without it, at the first push."""
         if capacity < 1:
             raise ValueError("capacity must be positive")
         self.capacity = capacity
-        self._feats: Optional[np.ndarray] = None  # (2 * capacity, dim)
+        self._feats = None if dim is None else np.empty((2 * capacity, dim))
         self._labels = np.empty(2 * capacity, dtype=np.int64)
         self._pushed = 0  # rows ever pushed; row t lives in slot t % capacity
 

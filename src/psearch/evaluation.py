@@ -12,6 +12,8 @@ from .errors import EmptyGallery, NoRelevant, SizeTooLarge
 
 log = logging.getLogger(__name__)
 
+QUERY_BLOCK = 32  # queries ranked per call: bounds the (queries, gallery) similarity block
+
 
 @dataclass
 class RetrievalSet:
@@ -20,10 +22,16 @@ class RetrievalSet:
 
 
 def rank_gallery(query: np.ndarray, gallery_feats) -> np.ndarray:
-    """Gallery indices by descending cosine similarity; ties by index."""
+    """Gallery indices by descending cosine similarity; ties by index.
+
+    query is one feature vector, or a matrix with one query per row; a
+    matrix gives one ranking per row, each equal to that row's
+    single-query ranking.
+    """
     if len(gallery_feats) == 0:
         raise EmptyGallery("gallery is empty")
-    return np.argsort(-(np.asarray(gallery_feats) @ query), kind="stable")
+    # negating the query is exact, and spares a negated copy of the similarities
+    return np.argsort(np.negative(query) @ np.asarray(gallery_feats).T, axis=-1, kind="stable")
 
 
 def average_precision(ranked: np.ndarray, relevant: set[int]) -> float:
@@ -51,18 +59,20 @@ def evaluate_retrieval(rset: RetrievalSet, ks=(1, 5, 10)):
     """
     gallery_feats = np.array([g for g, _ in rset.gallery])
     gallery_ids = np.array([i for _, i in rset.gallery])
+    relevant = [set(np.flatnonzero(gallery_ids == qid).tolist()) for _, qid in rset.queries]
+    answered = [i for i, rel in enumerate(relevant) if rel]
+    skipped = len(relevant) - len(answered)
+    query_feats = np.array([rset.queries[i][0] for i in answered])
     aps = []
     topk_hits = {k: [] for k in ks}
-    skipped = 0
-    for qfeat, qid in rset.queries:
-        relevant = set(np.flatnonzero(gallery_ids == qid).tolist())
-        if not relevant:
-            skipped += 1
-            continue
-        ranked = rank_gallery(qfeat, gallery_feats)
-        aps.append(average_precision(ranked, relevant))
-        for k in ks:
-            topk_hits[k].append(cmc_topk(ranked, relevant, k))
+    for start in range(0, len(answered), QUERY_BLOCK):
+        block = answered[start:start + QUERY_BLOCK]
+        ranks = rank_gallery(query_feats[start:start + QUERY_BLOCK], gallery_feats)
+        for i, ranked in zip(block, ranks):
+            aps.append(average_precision(ranked, relevant[i]))
+            for k in ks:
+                topk_hits[k].append(cmc_topk(ranked, relevant[i], k))
+        del ranks, ranked  # one block's ranking alive at a time
     if skipped:
         log.info("excluded %d queries with no relevant gallery item", skipped)
     if not aps:

@@ -48,30 +48,34 @@ def select_priority_pool(
 
     hard_negative_labels must be ranked by descending cosine similarity
     to their anchors; only its head is read. Labels -1 in the ranking are
-    skipped. extra_labels (e.g. a background class index) are always
-    included. If ground truth alone exceeds pool_size the pool keeps
+    skipped. extra_labels (non-negative, e.g. a background class index)
+    are always included. If ground truth alone exceeds pool_size the pool keeps
     everything and may exceed the target; train() counts those
     iterations and logs them once per run.
     """
-    for lab in gt_labels:
-        if not (0 <= lab < num_classes):
-            raise InvalidParams(f"ground-truth label {lab} outside [0, {num_classes})")
-    pool = set(gt_labels) | set(extra_labels)
+    gt = np.fromiter(gt_labels, dtype=np.int64)
+    outside = gt[(gt < 0) | (gt >= num_classes)]
+    if outside.size:
+        raise InvalidParams(f"ground-truth label {outside[0]} outside [0, {num_classes})")
+    # pool membership by label, extra labels past the classes included
+    member = np.zeros(max(num_classes, max(extra_labels, default=-1) + 1), dtype=bool)
+    member[gt] = True
+    member[list(extra_labels)] = True
+    size = int(np.count_nonzero(member))
     target = min(pool_size, num_classes + len(extra_labels))
     taken = 0
     for lab in hard_negative_labels:
-        if taken >= top_negatives or len(pool) >= target:
+        if taken >= top_negatives or size >= target:
             break
-        if lab < 0 or lab in pool:
+        if lab < 0 or (lab < member.size and member[lab]):
             continue
         if lab >= num_classes:
             raise InvalidParams(f"hard-negative label {lab} outside [0, {num_classes})")
-        pool.add(lab)
+        member[lab] = True
+        size += 1
         taken += 1
-    free = np.ones(num_classes, dtype=bool)
-    free[[lab for lab in pool if lab < num_classes]] = False  # not extra labels past the classes
-    remaining = np.flatnonzero(free)
-    need = target - len(pool)
+    remaining = np.flatnonzero(~member[:num_classes])
+    need = target - size
     if need > 0 and remaining.size > 0:
-        pool.update(rng.choice(remaining, size=min(need, remaining.size), replace=False).tolist())
-    return np.array(sorted(pool), dtype=np.int64)
+        member[rng.choice(remaining, size=min(need, remaining.size), replace=False)] = True
+    return np.flatnonzero(member).astype(np.int64, copy=False)

@@ -4,6 +4,7 @@ outputs."""
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import replace
 
@@ -11,20 +12,19 @@ import numpy as np
 
 from .config import ExperimentConfig, config_hash, emit_config, hyperparams_from_config
 from .evaluation import RetrievalSet, evaluate_retrieval, gallery_sweep
-from .numerics import l2_normalize, make_rng
+from .numerics import make_rng
 from .simulator import (
     LOSS_CHOICES,
     Schedule,
     SyntheticWorld,
     ToyEncoder,
     TrainLogRow,
-    draw_camera_offset,
     generate_world,
-    person_observation,
     train,
 )
 
 EVAL_SEED_OFFSET = 1_000_003
+ENCODE_BLOCK = 128  # retrieval items observed and encoded per block: bounds the temporaries
 
 
 def _fmt(v) -> str:
@@ -61,27 +61,41 @@ def build_retrieval_set(
     cfg: ExperimentConfig,
 ) -> RetrievalSet:
     """Fresh observations from the trained world: one query per sampled
-    identity, a few gallery instances each, plus anonymous distractors."""
+    identity, a few gallery instances each, plus anonymous distractors.
+
+    Reads the generator exactly as a per-item loop of draw_camera_offset,
+    person_observation and l2_normalize would: after the identity draw,
+    one normal matrix holds each identity item's (offset, jitter) rows,
+    query first, then each distractor's (prototype, offset, jitter) rows.
+    Observations are built and encoded as matrices, in row blocks, into
+    one (queries + gallery, embed_dim) feature matrix; each feature of
+    the returned lists is a row view of it.
+    """
     rng = make_rng(cfg.seed + EVAL_SEED_OFFSET)
     n_query = min(cfg.query_count, world.num_identities)
     idents = rng.choice(world.num_identities, size=n_query, replace=False)
-    queries = []
-    gallery = []
-    for ident in idents:
-        proto = world.prototypes[int(ident)]
-        q_offset = draw_camera_offset(world, rng)
-        obs = person_observation(world, proto, q_offset, rng)
-        queries.append((encoder.encode(obs)[0], int(ident)))
-        for _ in range(cfg.gallery_per_identity):
-            g_offset = draw_camera_offset(world, rng)
-            obs = person_observation(world, proto, g_offset, rng)
-            gallery.append((encoder.encode(obs)[0], int(ident)))
-    for d in range(cfg.distractors):
-        anon = l2_normalize(rng.normal(size=world.latent_dim))
-        offset = draw_camera_offset(world, rng)
-        obs = person_observation(world, anon, offset, rng)
-        gallery.append((encoder.encode(obs)[0], -1000 - d))
-    return RetrievalSet(queries=queries, gallery=gallery)
+    dim, per_id, n_anon = world.latent_dim, 1 + cfg.gallery_per_identity, cfg.distractors
+    n_items = n_query * per_id
+    z = rng.normal(size=(2 * n_items + 3 * n_anon, dim))
+    # items: queries, then the gallery in identity order, then distractors;
+    # each item's camera offset is row offset_row of z, and its jitter the next row
+    item = np.arange(n_items).reshape(n_query, per_id)
+    offset_row = np.concatenate([2 * item[:, 0], 2 * item[:, 1:].ravel(),
+                                 2 * n_items + 3 * np.arange(n_anon) + 1])
+    anon = z[offset_row[n_items:] - 1]
+    protos = np.concatenate([world.prototypes[idents],
+                             np.repeat(world.prototypes[idents], per_id - 1, axis=0),
+                             anon / np.linalg.norm(anon, axis=1, keepdims=True)])
+    feats = np.empty((len(protos), encoder.embed_dim))
+    for start in range(0, len(protos), ENCODE_BLOCK):
+        block = slice(start, start + ENCODE_BLOCK)
+        offset, jitter = (z[offset_row[block] + k] / math.sqrt(dim) for k in (0, 1))
+        obs = (protos[block] + world.sigma_noise * jitter) @ world.lift_map.T
+        obs += world.sigma_view * (offset @ world.view_map.T)
+        feats[block] = encoder.encode(obs)[0]
+    ids = np.concatenate([idents, np.repeat(idents, per_id - 1), -1000 - np.arange(n_anon)])
+    rows = list(zip(feats, ids.tolist()))
+    return RetrievalSet(queries=rows[:n_query], gallery=rows[n_query:])
 
 
 def evaluate_config(cfg: ExperimentConfig):

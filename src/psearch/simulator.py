@@ -206,9 +206,10 @@ class ToyEncoder:
     def encode(self, obs: np.ndarray):
         """Unit features of observation rows (or of one observation),
         and the cache for backward."""
-        z = obs @ self.W.T + self.b
-        norm = np.sqrt(np.einsum("...i,...i->...", z, z))[..., None]
-        x = z / norm
+        x = obs @ self.W.T
+        x += self.b
+        norm = np.sqrt(np.einsum("...i,...i->...", x, x))[..., None]
+        x /= norm
         return x, (obs, x, norm)
 
     def backward(self, cache, dx: np.ndarray):
@@ -279,7 +280,8 @@ def train(
 ) -> tuple[ToyEncoder, list[TrainLogRow]]:
     """Four-step loop per iteration: encode, compute losses (detection
     term fixed to zero), SGD step through the normalization Jacobian,
-    then one dictionary push and one center update.
+    then one dictionary push (when the metric term is olp, the only one
+    that reads the dictionary) and one center update (c2hep).
 
     An iteration is a few arrays: the feature matrix X (one row per
     proposal), its label array y, one read of the dictionary, and one
@@ -293,7 +295,11 @@ def train(
     metric, identity = LOSS_TERMS[loss_choice]
 
     capacity = dict_multiplier * proposals_per_image * images_per_iter
-    dictionary = FeatureDictionary(capacity)
+    # dict_size logs the person rows a dictionary holds, or would hold. The
+    # ring is allocated before any iteration's arrays, so that a repeated
+    # train() reuses the previous run's freed ring instead of a new region
+    dictionary = FeatureDictionary(capacity, encoder.embed_dim) if metric == "olp" else None
+    stored = 0
     if identity == "c2hep":
         centers = ClassCenterTable(num_classes=world.num_identities, phi=hp.phi)
     elif identity == "hep":
@@ -367,13 +373,15 @@ def train(
         encoder.b -= lr * db
 
         # store after loss computation: current-iteration features never self-match
-        dictionary.push(X[person], y[person])
+        if dictionary is not None:
+            dictionary.push(X[person], y[person])
+        stored = min(stored + person.size, capacity)
         if identity == "c2hep":
             degenerate += centers.update(y[labeled], X[labeled])
 
         log_rows.append(TrainLogRow(
             iteration=it, olp=metric_val, id_loss=id_val, total=breakdown.total,
-            dict_size=len(dictionary), pool_size=pool_len, lr=lr,
+            dict_size=stored, pool_size=pool_len, lr=lr,
         ))
     if overfull:
         log.warning("priority pool overfull in %d of %d iterations: ground truth "

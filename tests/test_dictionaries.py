@@ -76,15 +76,18 @@ class TestFeatureDictionary:
         assert stored == labels[-len(stored):]
 
     @given(st.integers(0, 2**32 - 1), st.integers(1, 10),
-           st.lists(st.integers(0, 25), max_size=8))
+           st.lists(st.integers(0, 25), max_size=8), st.sampled_from([None, 3]))
     @settings(max_examples=100, deadline=None)
-    def test_batches_keep_last_capacity_rows(self, seed, capacity, sizes):
+    def test_batches_keep_last_capacity_rows(self, seed, capacity, sizes, dim):
         """Pushing batches of any size, one larger than the buffer
         included, leaves the last `capacity` rows, stored as given: after
         every push (so across wrap-arounds) matrix() equals a per-row FIFO
-        reference, and is a read-only view of the buffer, not a copy."""
+        reference, and is a read-only view of the buffer, not a copy. A
+        buffer sized up front (dim) is there before the first push and
+        behaves alike."""
         rng = make_rng(seed)
-        d = FeatureDictionary(capacity)
+        d = FeatureDictionary(capacity, dim)
+        assert (d._feats is None) == (dim is None)
         reference = deque(maxlen=capacity)
         for n in sizes:
             batch, batch_labels = rng.normal(size=(n, 3)), rng.integers(-1, 6, size=n)

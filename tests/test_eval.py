@@ -1,10 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from psearch.checks import ap_oracle, cmc_oracle
+from psearch.config import ExperimentConfig
 from psearch.errors import EmptyGallery, NoRelevant, SizeTooLarge
 from psearch.evaluation import (
+    QUERY_BLOCK,
     RetrievalSet,
     average_precision,
     cmc_topk,
@@ -13,6 +17,8 @@ from psearch.evaluation import (
     rank_gallery,
 )
 from psearch.numerics import l2_normalize, make_rng
+from psearch.runner import EVAL_SEED_OFFSET, build_retrieval_set
+from psearch.simulator import ToyEncoder, draw_camera_offset, generate_world, person_observation
 
 
 def unit(*comps):
@@ -193,7 +199,10 @@ def tied_retrieval_sets(draw):
     rows = draw(st.lists(vec, min_size=1, max_size=4))
     gallery = draw(st.lists(st.tuples(st.sampled_from(rows), st.integers(-2, 3)),
                             min_size=1, max_size=12))
-    queries = draw(st.lists(st.tuples(vec, st.integers(0, 4)), min_size=1, max_size=5))
+    # more queries than one ranking block holds, at times
+    n_queries = draw(st.one_of(st.integers(1, 5), st.integers(QUERY_BLOCK + 1, 2 * QUERY_BLOCK + 3)))
+    queries = draw(st.lists(st.tuples(vec, st.integers(0, 4)),
+                            min_size=n_queries, max_size=n_queries))
     return RetrievalSet(queries=queries, gallery=gallery)
 
 
@@ -219,3 +228,78 @@ def test_array_evaluation_matches_brute_force_oracles(rset, seed):
         assert row_size == size
         assert abs(row_map - ref_map) <= 1e-12
         assert row_cmc == [ref_cmc[1], ref_cmc[5], ref_cmc[10]]
+
+
+@given(rset=tied_retrieval_sets())
+@settings(max_examples=100, deadline=None)
+def test_query_matrix_ranks_like_each_query_row(rset):
+    """Exact ties included: one ranking per query row, each the row's
+    single-query ranking."""
+    queries = np.array([q for q, _ in rset.queries])
+    gallery = np.array([g for g, _ in rset.gallery])
+    ranked = rank_gallery(queries, gallery)
+    assert ranked.shape == (len(queries), len(gallery))
+    for q, row in zip(queries, ranked, strict=True):
+        assert row.tolist() == rank_gallery(q, gallery).tolist()
+
+
+def per_item_retrieval_set(world, encoder, cfg):
+    """Reference: one draw_camera_offset, person_observation and encode
+    per item, and l2_normalize per distractor prototype, in generator
+    order."""
+    rng = make_rng(cfg.seed + EVAL_SEED_OFFSET)
+    n_query = min(cfg.query_count, world.num_identities)
+    idents = rng.choice(world.num_identities, size=n_query, replace=False)
+    queries, gallery = [], []
+    for ident in idents.tolist():
+        proto = world.prototypes[ident]
+        for item in range(1 + cfg.gallery_per_identity):
+            obs = person_observation(world, proto, draw_camera_offset(world, rng), rng)
+            (gallery if item else queries).append((encoder.encode(obs)[0], ident))
+    for d in range(cfg.distractors):
+        anon = l2_normalize(rng.normal(size=world.latent_dim))
+        obs = person_observation(world, anon, draw_camera_offset(world, rng), rng)
+        gallery.append((encoder.encode(obs)[0], -1000 - d))
+    return RetrievalSet(queries=queries, gallery=gallery)
+
+
+@given(seed=st.integers(0, 2**16), num_identities=st.integers(2, 8),
+       query_count=st.integers(1, 10), gallery_per_identity=st.integers(1, 3),
+       distractors=st.one_of(st.just(0), st.integers(1, 5), st.integers(500, 600)))
+@settings(max_examples=40, deadline=None)
+def test_retrieval_set_matches_per_item_loop(seed, num_identities, query_count,
+                                             gallery_per_identity, distractors):
+    """Same ids in the same order and the same features: a shifted read of
+    the generator would move features by O(1). The larger distractor counts
+    span more than one encoder block."""
+    world = generate_world(num_identities, latent_dim=4, obs_dim=16, sigma_view=2.0,
+                           sigma_noise=0.5, seed=seed)
+    encoder = ToyEncoder(16, 8, seed=seed)
+    cfg = ExperimentConfig(seed=seed, num_identities=num_identities, query_count=query_count,
+                           gallery_per_identity=gallery_per_identity, distractors=distractors)
+    got, want = build_retrieval_set(world, encoder, cfg), per_item_retrieval_set(world, encoder, cfg)
+    for part in ("queries", "gallery"):
+        rows, ref = getattr(got, part), getattr(want, part)
+        assert [i for _, i in rows] == [i for _, i in ref]
+        if ref:
+            diff = np.array([f for f, _ in rows]) - np.array([f for f, _ in ref])
+            assert np.abs(diff).max() <= 1e-12
+
+
+def test_evaluation_memory_stays_near_one_gallery_matrix():
+    """evaluate_retrieval on 100 queries against 4000 items peaks below 1.5
+    gallery matrices of traced memory: queries are ranked in blocks, never
+    as one (queries, gallery) ranking."""
+    rng = make_rng(0)
+    feats = rng.normal(size=(4100, 256))
+    feats /= np.linalg.norm(feats, axis=1, keepdims=True)
+    ids = list(range(100)) + [i for i in range(100) for _ in range(2)] + list(range(-3800, 0))
+    rows = list(zip(feats, ids))
+    rset = RetrievalSet(queries=rows[:100], gallery=rows[100:])
+    tracemalloc.start()
+    try:
+        evaluate_retrieval(rset)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * feats[100:].nbytes

@@ -273,6 +273,29 @@ class TestTrain:
                    for lab in RecordingDictionary.pushed_labels)
 
     @pytest.mark.parametrize("choice", sim.LOSS_CHOICES)
+    def test_dictionary_pushed_only_for_olp(self, choice, monkeypatch):
+        # dict_size logs the person rows sampled so far, capped at the
+        # capacity, whether or not the loss choice keeps a dictionary
+        RecordingDictionary.pushed_labels = []
+        monkeypatch.setattr(sim, "FeatureDictionary", RecordingDictionary)
+        person_rows = []
+
+        def recording_pair(*args, **kwargs):
+            pair = sample_image_pair(*args, **kwargs)
+            person_rows.append(sum(int(np.sum(img.labels != LABEL_BACKGROUND)) for img in pair))
+            return pair
+
+        monkeypatch.setattr(sim, "sample_image_pair", recording_pair)
+        _, rows = train(self.small_world(seed=3), ToyEncoder(16, 8), HyperParams(),
+                        Schedule(), choice, 4, 4, 12, make_rng(3), dict_multiplier=2)
+        per_iter = np.add.reduceat(person_rows, np.arange(0, len(person_rows), 2))
+        capacity = 2 * 4 * 4
+        assert per_iter.sum() > capacity
+        assert [r.dict_size for r in rows] == np.minimum(np.cumsum(per_iter), capacity).tolist()
+        pushed = per_iter.sum() if sim.LOSS_TERMS[choice][0] == "olp" else 0
+        assert len(RecordingDictionary.pushed_labels) == pushed
+
+    @pytest.mark.parametrize("choice", sim.LOSS_CHOICES)
     def test_all_loss_choices_run(self, choice):
         w = self.small_world(seed=2)
         enc = ToyEncoder(16, 8, seed=2)
