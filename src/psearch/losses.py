@@ -1,6 +1,6 @@
 """Loss functions: online-pairing metric loss, priority-class softmax
-losses (classifier-score and class-center variants), combined objective,
-and triplet/contrastive baselines for ablations.
+losses (classifier-score and class-center variants), and
+triplet/contrastive baselines for ablations.
 
 Every loss works on one iteration's rows at once: a feature (or score)
 matrix with one row per proposal and an int label array. Features are
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dictionaries import ClassCenterTable, HyperParams
+from .dictionaries import ClassCenterTable
 from .errors import EmptyPool, EmptySubgroups, UninitializedCenter
 from .numerics import softmax
 
@@ -28,14 +28,6 @@ class OlpResult:
     q_hat: np.ndarray             # (m, K) negative-pair probabilities, 0 where masked
     anchor_gradients: np.ndarray  # (m, dim) d(loss_i)/d(anchor_i), unaveraged
     hard_ranked: np.ndarray       # distinct negative labels, hardest first
-
-
-@dataclass
-class LossBreakdown:
-    det: float
-    olp: float
-    id_loss: float
-    total: float
 
 
 def olp_loss(anchors, positives, anchor_labels, negatives, negative_labels) -> OlpResult:
@@ -192,9 +184,3 @@ def contrastive_loss(features, labels, margin: float = 0.5) -> tuple[float, np.n
         loss += math.fsum(np.maximum(hinge[neg], 0.0)) / n_neg
         weight += (neg & (hinge > 0.0)) / n_neg
     return loss, (weight + weight.T) @ features
-
-
-def combined_loss(det: float, olp: float, id_loss: float, hp: HyperParams) -> LossBreakdown:
-    """Weighted total: det + alpha * metric loss + beta * identity loss."""
-    total = det + hp.alpha * olp + hp.beta * id_loss
-    return LossBreakdown(det=det, olp=olp, id_loss=id_loss, total=total)

@@ -4,7 +4,6 @@ outputs."""
 
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import replace
 
@@ -20,6 +19,7 @@ from .simulator import (
     ToyEncoder,
     TrainLogRow,
     generate_world,
+    observe,
     train,
 )
 
@@ -63,13 +63,13 @@ def build_retrieval_set(
     """Fresh observations from the trained world: one query per sampled
     identity, a few gallery instances each, plus anonymous distractors.
 
-    Reads the generator exactly as a per-item loop of draw_camera_offset,
-    person_observation and l2_normalize would: after the identity draw,
-    one normal matrix holds each identity item's (offset, jitter) rows,
-    query first, then each distractor's (prototype, offset, jitter) rows.
-    Observations are built and encoded as matrices, in row blocks, into
-    one (queries + gallery, embed_dim) feature matrix; each feature of
-    the returned lists is a row view of it.
+    Reads the generator as a per-item loop would, in one normal matrix
+    after the identity draw: each identity's query and then its gallery
+    items take a camera offset row and a jitter row each, then each
+    distractor takes a prototype, an offset and a jitter row. Blocks of
+    ENCODE_BLOCK items go through one observe and one encode call into a
+    (queries + gallery, embed_dim) feature matrix; each feature of the
+    returned lists is a row view of it.
     """
     rng = make_rng(cfg.seed + EVAL_SEED_OFFSET)
     n_query = min(cfg.query_count, world.num_identities)
@@ -89,17 +89,16 @@ def build_retrieval_set(
     feats = np.empty((len(protos), encoder.embed_dim))
     for start in range(0, len(protos), ENCODE_BLOCK):
         block = slice(start, start + ENCODE_BLOCK)
-        offset, jitter = (z[offset_row[block] + k] / math.sqrt(dim) for k in (0, 1))
-        obs = (protos[block] + world.sigma_noise * jitter) @ world.lift_map.T
-        obs += world.sigma_view * (offset @ world.view_map.T)
-        feats[block] = encoder.encode(obs)[0]
+        at = offset_row[block]
+        feats[block] = encoder.encode(observe(world, protos[block], z[at], z[at + 1]))[0]
     ids = np.concatenate([idents, np.repeat(idents, per_id - 1), -1000 - np.arange(n_anon)])
     rows = list(zip(feats, ids.tolist()))
     return RetrievalSet(queries=rows[:n_query], gallery=rows[n_query:])
 
 
 def evaluate_config(cfg: ExperimentConfig):
-    """Train and evaluate one configuration; returns (mAP, cmc, rows)."""
+    """Train and evaluate one configuration; returns (mAP, cmc, train
+    rows, retrieval set)."""
     world, encoder, rows = train_from_config(cfg)
     rset = build_retrieval_set(world, encoder, cfg)
     mAP, cmc = evaluate_retrieval(rset)

@@ -25,7 +25,6 @@ from .dictionaries import (
 from .errors import DivergenceDetected, InvalidParams
 from .losses import (
     c2hep_loss,
-    combined_loss,
     contrastive_loss,
     hep_loss,
     olp_loss,
@@ -133,64 +132,62 @@ def generate_world(
     )
 
 
-def person_observation(
+def observe(
     world: SyntheticWorld,
-    latent_prototype: np.ndarray,
-    camera_offset: np.ndarray,
-    rng: np.random.Generator,
+    protos: np.ndarray,
+    offsets: np.ndarray,
+    jitter: np.ndarray,
 ) -> np.ndarray:
-    """Identity signal plus shared view offset plus per-proposal jitter.
+    """Observation rows: each latent prototype plus its jitter, lifted,
+    plus its camera offset in the view subspace.
 
-    The offset and jitter are pre-scaled so sigma_view / sigma_noise are
-    the expected norms of the nuisance components relative to the
-    unit-norm identity component.
+    offsets and jitter are standard normal rows (offsets may broadcast
+    over the prototypes). Dividing them by sqrt(latent_dim) makes
+    sigma_view / sigma_noise the expected norms of the nuisance
+    components relative to the unit-norm identity component.
     """
-    eps = rng.normal(size=world.latent_dim) / math.sqrt(world.latent_dim)
-    ident = latent_prototype + world.sigma_noise * eps
-    return world.lift_map @ ident + world.sigma_view * (world.view_map @ camera_offset)
-
-
-def draw_camera_offset(world: SyntheticWorld, rng: np.random.Generator) -> np.ndarray:
-    """Per-image view offset with expected unit norm."""
-    return rng.normal(size=world.latent_dim) / math.sqrt(world.latent_dim)
+    scale = math.sqrt(world.latent_dim)
+    obs = (protos + world.sigma_noise * (jitter / scale)) @ world.lift_map.T
+    obs += world.sigma_view * ((offsets / scale) @ world.view_map.T)
+    return obs
 
 
 def sample_image_pair(
     world: SyntheticWorld,
     proposals_per_image: int,
     rng: np.random.Generator,
-    shared_identities: int = 1,
 ) -> tuple[SceneImage, SceneImage]:
-    """Two images guaranteed to share >= 1 labeled identity."""
+    """Two images whose first proposals are the same labeled identity.
+
+    Each other proposal is a background with probability
+    background_fraction, else an unlabeled person with probability
+    unlabeled_fraction, else a uniformly drawn identity. The generator is
+    read in bulk, in this order: the shared identity (choice), one uniform
+    per other proposal (random), one identity per other proposal
+    (integers), one normal block of each image's camera offset row and
+    each proposal's prototype and jitter rows, then one normal block with
+    a row per background. Unlabeled persons take their normalised
+    prototype row; all rows of an image share its camera offset.
+    """
     if proposals_per_image < 1:
         raise InvalidParams("proposals_per_image must be >= 1")
-    n_shared = min(shared_identities, proposals_per_image, world.num_identities)
-    shared = rng.choice(world.num_identities, size=n_shared, replace=False)
-    images = []
-    for _ in range(2):
-        offset = draw_camera_offset(world, rng)
-        obs = np.empty((proposals_per_image, world.obs_dim))
-        labels = np.empty(proposals_per_image, dtype=np.int64)
-        for k in range(proposals_per_image):
-            if k < n_shared:
-                label = int(shared[k])
-            else:
-                u = rng.random()
-                if u < world.background_fraction:
-                    label = LABEL_BACKGROUND
-                elif u < world.background_fraction + world.unlabeled_fraction:
-                    label = LABEL_UNIDENTIFIED
-                else:
-                    label = int(rng.integers(world.num_identities))
-            labels[k] = label
-            if label == LABEL_BACKGROUND:
-                obs[k] = rng.normal(size=world.obs_dim)
-            else:
-                proto = (world.prototypes[label] if label >= 0
-                         else l2_normalize(rng.normal(size=world.latent_dim)))
-                obs[k] = person_observation(world, proto, offset, rng)
-        images.append(SceneImage(obs=obs, labels=labels))
-    return images[0], images[1]
+    n, dim = proposals_per_image, world.latent_dim
+    shared = rng.choice(world.num_identities)
+    u = rng.random((2, n - 1))
+    drawn = rng.integers(world.num_identities, size=(2, n - 1))
+    bg, unlabeled = world.background_fraction, world.unlabeled_fraction
+    labels = np.where(u < bg, LABEL_BACKGROUND,
+                      np.where(u < bg + unlabeled, LABEL_UNIDENTIFIED, drawn))
+    labels = np.column_stack([np.full(2, shared), labels])
+    z = rng.normal(size=(2, 1 + 2 * n, dim))
+    anon = z[:, 1:n + 1]
+    protos = np.where((labels == LABEL_UNIDENTIFIED)[..., None],
+                      anon / np.linalg.norm(anon, axis=-1, keepdims=True),
+                      world.prototypes[np.maximum(labels, 0)])
+    obs = observe(world, protos, z[:, :1], z[:, n + 1:])
+    background = labels == LABEL_BACKGROUND
+    obs[background] = rng.normal(size=(np.count_nonzero(background), world.obs_dim))
+    return SceneImage(obs=obs[0], labels=labels[0]), SceneImage(obs=obs[1], labels=labels[1])
 
 
 class ToyEncoder:
@@ -278,10 +275,10 @@ def train(
     rng: np.random.Generator,
     dict_multiplier: int = 40,
 ) -> tuple[ToyEncoder, list[TrainLogRow]]:
-    """Four-step loop per iteration: encode, compute losses (detection
-    term fixed to zero), SGD step through the normalization Jacobian,
-    then one dictionary push (when the metric term is olp, the only one
-    that reads the dictionary) and one center update (c2hep).
+    """Four-step loop per iteration: encode, compute the loss
+    alpha * metric + beta * identity, SGD step through the normalization
+    Jacobian, then one dictionary push (when the metric term is olp, the
+    only one that reads the dictionary) and one center update (c2hep).
 
     An iteration is a few arrays: the feature matrix X (one row per
     proposal), its label array y, one read of the dictionary, and one
@@ -364,8 +361,8 @@ def train(
                     head.A -= lr * (hp.beta * dA)
                     head.c -= lr * (hp.beta * dc)
 
-        breakdown = combined_loss(0.0, metric_val, id_val, hp)
-        if not np.isfinite(breakdown.total):
+        total = hp.alpha * metric_val + hp.beta * id_val
+        if not np.isfinite(total):
             raise DivergenceDetected(f"non-finite total loss at iteration {it}")
 
         dW, db = encoder.backward(cache, G)
@@ -380,7 +377,7 @@ def train(
             degenerate += centers.update(y[labeled], X[labeled])
 
         log_rows.append(TrainLogRow(
-            iteration=it, olp=metric_val, id_loss=id_val, total=breakdown.total,
+            iteration=it, olp=metric_val, id_loss=id_val, total=total,
             dict_size=stored, pool_size=pool_len, lr=lr,
         ))
     if overfull:

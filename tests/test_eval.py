@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -18,7 +19,7 @@ from psearch.evaluation import (
 )
 from psearch.numerics import l2_normalize, make_rng
 from psearch.runner import EVAL_SEED_OFFSET, build_retrieval_set
-from psearch.simulator import ToyEncoder, draw_camera_offset, generate_world, person_observation
+from psearch.simulator import ToyEncoder, generate_world
 
 
 def unit(*comps):
@@ -243,10 +244,18 @@ def test_query_matrix_ranks_like_each_query_row(rset):
         assert row.tolist() == rank_gallery(q, gallery).tolist()
 
 
+def scalar_observation(world, proto, rng):
+    """The observation rule one vector at a time: an offset draw, then a
+    jitter draw, each scaled by 1/sqrt(latent_dim)."""
+    offset = rng.normal(size=world.latent_dim) / math.sqrt(world.latent_dim)
+    eps = rng.normal(size=world.latent_dim) / math.sqrt(world.latent_dim)
+    return (world.lift_map @ (proto + world.sigma_noise * eps)
+            + world.sigma_view * (world.view_map @ offset))
+
+
 def per_item_retrieval_set(world, encoder, cfg):
-    """Reference: one draw_camera_offset, person_observation and encode
-    per item, and l2_normalize per distractor prototype, in generator
-    order."""
+    """Reference: one scalar observation and encode per item, and
+    l2_normalize per distractor prototype, in generator order."""
     rng = make_rng(cfg.seed + EVAL_SEED_OFFSET)
     n_query = min(cfg.query_count, world.num_identities)
     idents = rng.choice(world.num_identities, size=n_query, replace=False)
@@ -254,11 +263,11 @@ def per_item_retrieval_set(world, encoder, cfg):
     for ident in idents.tolist():
         proto = world.prototypes[ident]
         for item in range(1 + cfg.gallery_per_identity):
-            obs = person_observation(world, proto, draw_camera_offset(world, rng), rng)
+            obs = scalar_observation(world, proto, rng)
             (gallery if item else queries).append((encoder.encode(obs)[0], ident))
     for d in range(cfg.distractors):
         anon = l2_normalize(rng.normal(size=world.latent_dim))
-        obs = person_observation(world, anon, draw_camera_offset(world, rng), rng)
+        obs = scalar_observation(world, anon, rng)
         gallery.append((encoder.encode(obs)[0], -1000 - d))
     return RetrievalSet(queries=queries, gallery=gallery)
 

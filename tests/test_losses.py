@@ -9,7 +9,6 @@ from psearch.dictionaries import ClassCenterTable, HyperParams
 from psearch.errors import EmptyPool, EmptySubgroups, UninitializedCenter
 from psearch.losses import (
     c2hep_loss,
-    combined_loss,
     contrastive_loss,
     hep_loss,
     olp_loss,
@@ -292,10 +291,3 @@ class TestArrayLossesMatchOracles:
     def test_contrastive(self, seed, labels):
         x = unit_rows(make_rng(seed), len(labels))
         assert_matches(contrastive_loss(x, labels, 0.5), contrastive_oracle(x, labels, 0.5))
-
-
-def test_combined_loss_weights():
-    hp = HyperParams(alpha=0.5, beta=2.0)
-    out = combined_loss(0.0, 1.0, 3.0, hp)
-    assert out.total == pytest.approx(6.5)
-    assert out.det == 0.0 and out.olp == 1.0 and out.id_loss == 3.0

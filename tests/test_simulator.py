@@ -24,7 +24,7 @@ from psearch.simulator import (
     Schedule,
     ToyEncoder,
     generate_world,
-    person_observation,
+    observe,
     sample_image_pair,
     train,
 )
@@ -62,12 +62,15 @@ class TestWorld:
 
     def test_observation_components_recoverable(self):
         w = generate_world(5, latent_dim=4, obs_dim=16,
-                           sigma_view=0.7, sigma_noise=0.0, seed=3)
-        rng = make_rng(0)
-        offset = rng.normal(size=4)
-        obs = person_observation(w, w.prototypes[2], offset, rng)
-        assert np.allclose(w.lift_map.T @ obs, w.prototypes[2], atol=1e-10)
-        assert np.allclose(w.view_map.T @ obs, 0.7 * offset, atol=1e-10)
+                           sigma_view=0.7, sigma_noise=0.3, seed=3)
+        offset, jitter = make_rng(0).normal(size=(2, 3, 4))
+        protos = w.prototypes[[2, 0, 2]]
+        obs = observe(w, protos, offset[:1], jitter)
+        assert obs.shape == (3, 16)
+        # offsets and jitter are scaled by 1 / sqrt(latent_dim) = 1 / 2
+        assert np.allclose(obs @ w.lift_map, protos + 0.3 * jitter / 2, atol=1e-10)
+        assert np.allclose(obs @ w.view_map, np.repeat(0.7 * offset[:1] / 2, 3, axis=0),
+                           atol=1e-10)
 
 
 class TestSampleImagePair:
@@ -93,6 +96,39 @@ class TestSampleImagePair:
         w = generate_world(5, seed=0)
         with pytest.raises(InvalidParams):
             sample_image_pair(w, 0, make_rng(0))
+
+    @given(background=st.floats(0, 1), unlabeled=st.floats(0, 1),
+           proposals=st.integers(1, 8))
+    @settings(max_examples=40, deadline=None)
+    def test_pair_structure_and_label_shares(self, background, unlabeled, proposals):
+        """Shared first identity, one camera offset per image, noiseless
+        identity components, and label shares near the fractions: swapped
+        thresholds would move the background and unlabeled shares."""
+        w = generate_world(20, latent_dim=4, obs_dim=16, sigma_view=0.7, sigma_noise=0.0,
+                           unlabeled_fraction=unlabeled, background_fraction=background,
+                           seed=1)
+        rng = make_rng(7)
+        pairs = [sample_image_pair(w, proposals, rng) for _ in range(300)]
+        for first, second in pairs:
+            assert first.labels[0] == second.labels[0] >= 0
+        for img in (img for pair in pairs[:10] for img in pair):
+            assert img.obs.shape == (proposals, 16) and img.labels.shape == (proposals,)
+            person = img.labels != LABEL_BACKGROUND
+            labels, obs = img.labels[person], img.obs[person]
+            view = obs @ w.view_map
+            assert np.allclose(view, view[0], rtol=0, atol=1e-12)
+            lifted = obs @ w.lift_map
+            ident = labels >= 0
+            assert np.allclose(lifted[ident], w.prototypes[labels[ident]], rtol=0, atol=1e-12)
+            assert np.allclose(np.linalg.norm(lifted[~ident], axis=1), 1.0, rtol=0, atol=1e-12)
+        others = np.concatenate([img.labels[1:] for pair in pairs for img in pair])
+        if others.size:
+            top = min(background + unlabeled, 1.0)
+            shares = [np.mean(others == LABEL_BACKGROUND),
+                      np.mean(others == LABEL_UNIDENTIFIED), np.mean(others >= 0)]
+            # at least 600 draws: 0.1 is about five standard deviations
+            assert np.allclose(shares, [background, top - background, 1 - top],
+                               rtol=0, atol=0.1)
 
 
 class TestToyEncoder:

@@ -51,6 +51,7 @@ def test_tracer_installs_traces_a_run_and_uninstalls(monkeypatch):
     finally:
         tracer.uninstall()
     assert not any(hasattr(f, "__wrapped__") for f in traced_objects(tracer_mod.LAYERS))
-    for layer in ("dictionaries.push", "dictionaries.center_update",
+    for layer in ("simulator.sample_image_pair", "simulator.encode",
+                  "dictionaries.push", "dictionaries.center_update",
                   "pairing.select_priority_pool", "losses.olp_loss", "losses.c2hep_loss"):
         assert summary[f"{layer}.calls"] >= 5, layer
