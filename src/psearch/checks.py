@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dictionaries import ClassCenterTable, FeatureDictionary
-from .evaluation import average_precision, cmc_topk
+from .evaluation import ap_from_hit_ranks, average_precision, cmc_topk, hit_ranks
 from .losses import c2hep_loss, olp_loss
 from .numerics import check_gradient, l2_normalize, make_rng, softmax
 from .pairing import select_priority_pool
@@ -182,21 +182,24 @@ def run_gradient_checks(trials: int = 100, seed: int = 12345) -> CheckResult:
 
 def run_oracle_checks(max_gallery: int = 6) -> CheckResult:
     """Exhaustive AP/CMC agreement with the brute-force oracle over every
-    relevance pattern for galleries up to max_gallery items."""
+    relevance pattern for galleries up to max_gallery items, both from the
+    full ranking and from the hit ranks that evaluation scores."""
     checked = 0
     for size in range(1, max_gallery + 1):
-        ranked = np.arange(size)
+        keys = -(np.arange(size) // 2)  # tied in pairs; the stable order is not 0..size-1
+        ranked = np.argsort(keys, kind="stable")
         for pattern in itertools.product([False, True], repeat=size):
             relevant = {i for i, rel in enumerate(pattern) if rel}
             if not relevant:
                 continue
-            ap_fast = average_precision(ranked, relevant)
-            ap_slow = ap_oracle(ranked, relevant)
-            if abs(ap_fast - ap_slow) > 1e-12:
+            hits = hit_ranks(keys[None], np.array([pattern]))[0]
+            aps = (average_precision(ranked, relevant), ap_from_hit_ranks(hits, len(hits)))
+            if max(abs(ap - ap_oracle(ranked, relevant)) for ap in aps) > 1e-12:
                 return CheckResult("map-cmc-oracle", False,
                                    f"AP mismatch at size {size} pattern {pattern}")
             for k in range(1, size + 1):
-                if cmc_topk(ranked, relevant, k) != cmc_oracle(ranked, relevant, k):
+                want = cmc_oracle(ranked, relevant, k)
+                if not cmc_topk(ranked, relevant, k) == (hits[0] <= k) == want:
                     return CheckResult("map-cmc-oracle", False,
                                        f"CMC mismatch at size {size} k {k}")
             checked += 1

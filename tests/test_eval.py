@@ -15,6 +15,7 @@ from psearch.evaluation import (
     cmc_topk,
     evaluate_retrieval,
     gallery_sweep,
+    hit_ranks,
     rank_gallery,
 )
 from psearch.numerics import l2_normalize, make_rng
@@ -85,7 +86,19 @@ class TestCmcTopk:
             cmc_topk(np.array([0]), {0}, 0)
 
 
+class TestHitRanks:
+    def test_ties_at_relevant_items_rank_by_column(self):
+        keys = np.array([[0.0, 0.0, -1.0, 0.0], [2.0, 1.0, 1.0, 1.0]])
+        relevant = np.array([[False, True, False, True], [True, False, True, False]])
+        got = hit_ranks(keys, relevant)
+        assert [h.tolist() for h in got] == [[3, 4], [2, 4]]
+
+
 class TestEvaluateRetrieval:
+    def test_empty_gallery(self):
+        with pytest.raises(NoRelevant):
+            evaluate_retrieval(RetrievalSet(queries=[(unit(1, 0), 0)], gallery=[]))
+
     def test_perfect_separation(self):
         rset = RetrievalSet(
             queries=[(unit(1, 0, 0), 0), (unit(0, 1, 0), 1)],
@@ -244,6 +257,24 @@ def test_query_matrix_ranks_like_each_query_row(rset):
         assert row.tolist() == rank_gallery(q, gallery).tolist()
 
 
+@given(rset=tied_retrieval_sets())
+@settings(max_examples=100, deadline=None)
+def test_hit_ranks_are_the_relevant_positions_of_the_stable_ranking(rset):
+    """Exact ties (also at relevant items), several relevant items per
+    query, orphan queries, and more hits than one comparison chunk: each
+    row's hit ranks are the 1-based positions of its relevant columns in
+    rank_gallery's stable ranking."""
+    queries = np.array([q for q, _ in rset.queries])
+    gallery = np.array([g for g, _ in rset.gallery])
+    qids = np.array([qid for _, qid in rset.queries])
+    relevant = qids[:, None] == [gid for _, gid in rset.gallery]
+    got = hit_ranks(np.negative(queries) @ gallery.T, relevant)
+    ranked = rank_gallery(queries, gallery)
+    assert len(got) == len(queries)
+    for hits, row, rel in zip(got, ranked, relevant, strict=True):
+        assert hits.tolist() == (np.flatnonzero(rel[row]) + 1).tolist()
+
+
 def scalar_observation(world, proto, rng):
     """The observation rule one vector at a time: an offset draw, then a
     jitter draw, each scaled by 1/sqrt(latent_dim)."""
@@ -295,10 +326,9 @@ def test_retrieval_set_matches_per_item_loop(seed, num_identities, query_count,
             assert np.abs(diff).max() <= 1e-12
 
 
-def test_evaluation_memory_stays_near_one_gallery_matrix():
-    """evaluate_retrieval on 100 queries against 4000 items peaks below 1.5
-    gallery matrices of traced memory: queries are ranked in blocks, never
-    as one (queries, gallery) ranking."""
+def traced_peak_over_gallery_bytes(run):
+    """run's traced peak memory over the bytes of one gallery matrix, on 100
+    queries (two relevant items each) against 4000 unit-norm items."""
     rng = make_rng(0)
     feats = rng.normal(size=(4100, 256))
     feats /= np.linalg.norm(feats, axis=1, keepdims=True)
@@ -307,8 +337,24 @@ def test_evaluation_memory_stays_near_one_gallery_matrix():
     rset = RetrievalSet(queries=rows[:100], gallery=rows[100:])
     tracemalloc.start()
     try:
-        evaluate_retrieval(rset)
+        run(rset)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.5 * feats[100:].nbytes
+    return peak / feats[100:].nbytes
+
+
+def test_evaluation_memory_stays_near_one_gallery_matrix():
+    """evaluate_retrieval on 100 queries against 4000 items peaks below 1.5
+    gallery matrices of traced memory: queries are ranked in blocks, never
+    as one (queries, gallery) ranking."""
+    assert traced_peak_over_gallery_bytes(evaluate_retrieval) <= 1.5
+
+
+def test_gallery_sweep_memory_stays_near_one_gallery_matrix():
+    """Sweeping 200/1000/4000 items peaks below 1.5 gallery matrices too:
+    each size stacks its own sub-gallery and frees it before the next, so
+    the full gallery is never stacked next to a sub-gallery."""
+    peak = traced_peak_over_gallery_bytes(
+        lambda rset: gallery_sweep(rset, [200, 1000, 4000], make_rng(0)))
+    assert peak <= 1.5
