@@ -224,7 +224,7 @@ def run_invariant_checks(trials: int = 1000, seed: int = 777) -> list[CheckResul
     ok = True
     for _ in range(trials):
         cap = int(rng.integers(1, 16))
-        d = FeatureDictionary(cap)
+        d = FeatureDictionary(cap, 4)
         pushed = np.zeros((0, 4))
         for _ in range(int(rng.integers(0, 6))):
             batch = rng.normal(size=(int(rng.integers(0, 10)), 4))
@@ -232,8 +232,7 @@ def run_invariant_checks(trials: int = 1000, seed: int = 777) -> list[CheckResul
             d.push(batch, rng.integers(-1, 5, size=len(batch)))
             pushed = np.concatenate([pushed, batch])
         n = len(pushed)
-        if len(d) != min(cap, n) or not np.array_equal(d.matrix()[0].reshape(-1, 4),
-                                                       pushed[n - len(d):]):
+        if len(d) != min(cap, n) or not np.array_equal(d.matrix()[0], pushed[n - len(d):]):
             ok = False
             break
     results.append(CheckResult("fifo-capacity-and-recency", ok, f"{trials} trials"))

@@ -22,6 +22,7 @@ from .config import (
 from .errors import ConfigError, DivergenceDetected, PSearchError
 from .runner import (
     ABLATE_KINDS,
+    make_out_dir,
     run_ablation,
     run_experiment,
     run_gallery_size_sweep,
@@ -91,10 +92,8 @@ def main(argv=None) -> int:
             return 0
         if args.command == "sweep-gallery":
             cfg = _build_config(args)
-            rows = run_gallery_size_sweep(cfg)
-            os.makedirs(cfg.out_dir, exist_ok=True)
-            path = os.path.join(cfg.out_dir, "gallery-sweep.csv")
-            write_eval_csv(path, rows)
+            path = os.path.join(make_out_dir(cfg), "gallery-sweep.csv")
+            write_eval_csv(path, run_gallery_size_sweep(cfg))
             print(f"wrote {path}")
             return 0
         if args.command == "check":

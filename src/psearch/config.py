@@ -14,7 +14,11 @@ from .simulator import IMAGES_PER_ITER, LOSS_CHOICES, check_world
 
 
 @dataclass
-class ExperimentConfig:
+class ExperimentConfig(HyperParams):
+    """Every experiment setting. The loss hyperparameters are HyperParams'
+    fields: first in config-echo.txt, config_hash and --help, and range-checked
+    when a config is built; values set later are checked by validate()."""
+
     seed: int = 0
     num_identities: int = 50
     latent_dim: int = 32
@@ -29,15 +33,7 @@ class ExperimentConfig:
     lr_initial: float = 0.01
     lr_final: float = 0.001
     lr_drop_frac: float = 0.6
-    alpha: float = 1.0
-    beta: float = 1.0
-    lam: float = 10.0
-    phi: float = 0.5
-    pool_size: int = 100
-    top_negatives: int = 10
     dict_multiplier: int = 40
-    triplet_margin: float = 0.3
-    contrastive_margin: float = 0.5
     loss_choice: str = "olp+c2hep"
     gallery_sizes: str = ""
     query_count: int = 50

@@ -62,13 +62,12 @@ class FeatureDictionary:
     contiguous slice, read in place without a copy.
     """
 
-    def __init__(self, capacity: int, dim: Optional[int] = None):
-        """With dim the buffer is allocated now, before whatever the caller
-        allocates next; without it, at the first push."""
+    def __init__(self, capacity: int, dim: int):
+        """The buffer of capacity rows of width dim is allocated now."""
         if capacity < 1:
             raise ValueError("capacity must be positive")
         self.capacity = capacity
-        self._feats = None if dim is None else np.empty((2 * capacity, dim))
+        self._feats = np.empty((2 * capacity, dim))
         self._labels = np.empty(2 * capacity, dtype=np.int64)
         self._pushed = 0  # rows ever pushed; row t lives in slot t % capacity
 
@@ -85,8 +84,6 @@ class FeatureDictionary:
         if labels.min() < LABEL_UNIDENTIFIED:
             raise InvalidLabel(f"label {labels.min()} not storable")
         features = _rows_for(labels, features)
-        if self._feats is None:
-            self._feats = np.empty((2 * self.capacity, features.shape[1]))
         # of a push larger than the buffer only its last `capacity` rows survive
         slots = (self._pushed + np.arange(labels.size))[-self.capacity:] % self.capacity
         self._feats[slots] = self._feats[slots + self.capacity] = features[-self.capacity:]
@@ -96,8 +93,6 @@ class FeatureDictionary:
     def matrix(self):
         """Every entry in insertion order: (feature matrix, label array),
         read-only views of the buffer."""
-        if self._feats is None:
-            return np.zeros((0, 0)), np.zeros(0, dtype=np.int64)
         start = max(self._pushed - self.capacity, 0) % self.capacity
         feats, labels = self._feats[start:start + len(self)], self._labels[start:start + len(self)]
         feats.flags.writeable = labels.flags.writeable = False

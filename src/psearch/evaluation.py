@@ -14,12 +14,18 @@ log = logging.getLogger(__name__)
 
 QUERY_BLOCK = 32  # queries ranked per call: bounds the (queries, gallery) similarity block
 HIT_BLOCK = 16  # relevant items ranked per pass: bounds the (hits, gallery) comparisons
+TOP_KS = (1, 5, 10)  # the CMC top-k rates reported
+
+
+def item_dtype(dim: int) -> np.dtype:
+    """A retrieval item's record; it unpacks as a (feature, id) pair."""
+    return np.dtype([("feat", np.float64, (dim,)), ("id", np.int64)])
 
 
 @dataclass
 class RetrievalSet:
-    queries: list[tuple[np.ndarray, int]]
-    gallery: list[tuple[np.ndarray, int]]
+    queries: np.ndarray  # record arrays of item_dtype
+    gallery: np.ndarray
 
 
 def rank_gallery(query: np.ndarray, gallery_feats) -> np.ndarray:
@@ -78,42 +84,37 @@ def cmc_topk(ranked: np.ndarray, relevant: set[int], k: int) -> bool:
     return bool(np.isin(ranked[:k], list(relevant), kind="sort").any())
 
 
-def _stack(pairs):
-    return np.array([f for f, _ in pairs]), np.array([i for _, i in pairs])
-
-
-def _evaluate(Q, qids, G, gids, ks):
-    """mAP and CMC from one Q_block @ G.T per block of answered queries."""
-    relevant = qids[:, None] == gids
+def _evaluate(queries, gallery):
+    """mAP and CMC from one Q_block @ G.T per block of answered queries,
+    reading the records' fields in place."""
+    relevant = queries["id"][:, None] == gallery["id"]
     answered = np.flatnonzero(relevant.any(axis=1))
-    if len(answered) < len(qids):
-        log.info("excluded %d queries with no relevant gallery item", len(qids) - len(answered))
+    if len(answered) < len(queries):
+        log.info("excluded %d queries with no relevant gallery item", len(queries) - len(answered))
     if not len(answered):
         raise NoRelevant("no query has a relevant gallery item")
-    if any(k < 1 for k in ks):
-        raise ValueError("k must be >= 1")
+    Q, G = queries["feat"], gallery["feat"]
     hits = []
     for start in range(0, len(answered), QUERY_BLOCK):
         block = answered[start:start + QUERY_BLOCK]
         hits += hit_ranks(np.negative(Q[block]) @ G.T, relevant[block])
     first = np.array([h[0] for h in hits])
     mAP = float(np.mean([ap_from_hit_ranks(h, len(h)) for h in hits]))
-    return mAP, {k: float(np.mean(first <= k)) for k in ks}
+    return mAP, {k: float(np.mean(first <= k)) for k in TOP_KS}
 
 
-def evaluate_retrieval(rset: RetrievalSet, ks=(1, 5, 10)):
-    """mAP and CMC top-k rates over all queries with >= 1 relevant item;
-    queries without any relevant gallery item are excluded and logged."""
-    return _evaluate(*_stack(rset.queries), *_stack(rset.gallery), ks)
+def evaluate_retrieval(rset: RetrievalSet):
+    """mAP and CMC top-k rates (TOP_KS) over all queries with >= 1 relevant
+    item; queries without any relevant gallery item are excluded and logged."""
+    return _evaluate(rset.queries, rset.gallery)
 
 
 def gallery_sweep(rset: RetrievalSet, sizes, rng: np.random.Generator):
     """Evaluate at nested gallery sizes: keep every item relevant to some
     query, grow a shared, shuffled distractor prefix. Returns rows of
-    (size, mAP, top1, top5, top10). Each size stacks its own sub-gallery,
-    freed before the next, so one gallery matrix is alive at a time."""
-    Q, qids = _stack(rset.queries)
-    is_kept = np.isin([gid for _, gid in rset.gallery], qids)
+    (size, mAP, top1, top5, top10). Each size takes its own sub-gallery of
+    records, freed before the next, so one gallery matrix is alive at a time."""
+    is_kept = np.isin(rset.gallery["id"], rset.queries["id"])
     kept, distractors = np.flatnonzero(is_kept), np.flatnonzero(~is_kept)
     order = rng.permutation(len(distractors))
     rows = []
@@ -123,6 +124,6 @@ def gallery_sweep(rset: RetrievalSet, sizes, rng: np.random.Generator):
         if size < len(kept):
             raise SizeTooLarge(f"size {size} cannot hold the {len(kept)} relevant items")
         chosen = np.sort(np.concatenate([kept, distractors[order[: size - len(kept)]]]))
-        mAP, cmc = _evaluate(Q, qids, *_stack([rset.gallery[i] for i in chosen]), (1, 5, 10))
+        mAP, cmc = _evaluate(rset.queries, rset.gallery[chosen])
         rows.append((size, mAP, cmc[1], cmc[5], cmc[10]))
     return rows

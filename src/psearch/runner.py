@@ -10,7 +10,8 @@ from dataclasses import replace
 import numpy as np
 
 from .config import ExperimentConfig, config_hash, emit_config, hyperparams_from_config
-from .evaluation import RetrievalSet, evaluate_retrieval, gallery_sweep
+from .errors import ConfigError
+from .evaluation import RetrievalSet, evaluate_retrieval, gallery_sweep, item_dtype
 from .numerics import make_rng
 from .simulator import (
     LOSS_CHOICES,
@@ -67,9 +68,9 @@ def build_retrieval_set(
     after the identity draw: each identity's query and then its gallery
     items take a camera offset row and a jitter row each, then each
     distractor takes a prototype, an offset and a jitter row. Blocks of
-    ENCODE_BLOCK items go through one observe and one encode call into a
-    (queries + gallery, embed_dim) feature matrix; each feature of the
-    returned lists is a row view of it.
+    ENCODE_BLOCK items go through one observe and one encode call into the
+    feat field of one record array; the queries and the gallery are slices
+    of it.
     """
     rng = make_rng(cfg.seed + EVAL_SEED_OFFSET)
     n_query = min(cfg.query_count, world.num_identities)
@@ -86,14 +87,13 @@ def build_retrieval_set(
     protos = np.concatenate([world.prototypes[idents],
                              np.repeat(world.prototypes[idents], per_id - 1, axis=0),
                              anon / np.linalg.norm(anon, axis=1, keepdims=True)])
-    feats = np.empty((len(protos), encoder.embed_dim))
+    items = np.empty(len(protos), dtype=item_dtype(encoder.embed_dim))
     for start in range(0, len(protos), ENCODE_BLOCK):
         block = slice(start, start + ENCODE_BLOCK)
         at = offset_row[block]
-        feats[block] = encoder.encode(observe(world, protos[block], z[at], z[at + 1]))[0]
-    ids = np.concatenate([idents, np.repeat(idents, per_id - 1), -1000 - np.arange(n_anon)])
-    rows = list(zip(feats, ids.tolist()))
-    return RetrievalSet(queries=rows[:n_query], gallery=rows[n_query:])
+        items["feat"][block] = encoder.encode(observe(world, protos[block], z[at], z[at + 1]))[0]
+    items["id"] = np.concatenate([idents, np.repeat(idents, per_id - 1), -1000 - np.arange(n_anon)])
+    return RetrievalSet(queries=items[:n_query], gallery=items[n_query:])
 
 
 def evaluate_config(cfg: ExperimentConfig):
@@ -125,12 +125,20 @@ def write_eval_csv(path: str, rows) -> None:
             fh.write(",".join(_fmt(v) for v in r) + "\n")
 
 
-def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> dict:
+def make_out_dir(cfg: ExperimentConfig) -> str:
+    """Create cfg.out_dir before any training; an unusable path is a ConfigError."""
+    try:
+        os.makedirs(cfg.out_dir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"out_dir: {exc}") from exc
+    return cfg.out_dir
+
+
+def run_experiment(cfg: ExperimentConfig) -> dict:
     """The `run` subcommand: train, evaluate, write train.csv, eval.csv,
     config-echo.txt."""
     cfg.validate()
-    out = out_dir or cfg.out_dir
-    os.makedirs(out, exist_ok=True)
+    out = make_out_dir(cfg)
     mAP, cmc, rows, rset = evaluate_config(cfg)
     write_train_csv(os.path.join(out, "train.csv"), rows)
 
@@ -176,13 +184,11 @@ def _sweep_points(kind: str, base: ExperimentConfig):
     raise ValueError(f"unknown sweep kind {kind!r}")
 
 
-def run_ablation(kind: str, base: ExperimentConfig, out_dir: str | None = None) -> str:
+def run_ablation(kind: str, base: ExperimentConfig) -> str:
     """The `ablate` subcommand: one CSV row per sweep point, all points
     sharing the base seed."""
     base.validate()
-    out = out_dir or base.out_dir
-    os.makedirs(out, exist_ok=True)
-    path = os.path.join(out, f"ablate-{kind}.csv")
+    path = os.path.join(make_out_dir(base), f"ablate-{kind}.csv")
 
     if kind == "gallery-size":
         rows = run_gallery_size_sweep(base)
@@ -216,8 +222,7 @@ def run_gallery_size_sweep(cfg: ExperimentConfig):
     rset = build_retrieval_set(world, encoder, cfg)
     sizes = cfg.gallery_size_list()
     if not sizes:
-        query_ids = {qid for _, qid in rset.queries}
-        n_relevant = sum(1 for _, gid in rset.gallery if gid in query_ids)
+        n_relevant = np.count_nonzero(np.isin(rset.gallery["id"], rset.queries["id"]))
         total = len(rset.gallery)
         sizes = sorted({n_relevant + round(f * (total - n_relevant))
                         for f in (0.25, 0.5, 0.75, 1.0)})

@@ -178,7 +178,7 @@ def test_criterion_7_sweep_harness(tmp_path):
     for kind, rows in expected_rows.items():
         cfg = dataclasses.replace(SMALL, out_dir=out)
         try:
-            path = run_ablation(kind, cfg, out_dir=out)
+            path = run_ablation(kind, cfg)
         except PSearchError as exc:
             bad.append(f"{kind}: {exc}")
             continue

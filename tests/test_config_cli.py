@@ -5,6 +5,7 @@ import tempfile
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import psearch.runner
 from psearch.checks import SUITES
 from psearch.cli import main
 from psearch.config import (
@@ -15,7 +16,6 @@ from psearch.config import (
     emit_config,
     parse_config,
 )
-from psearch.dictionaries import HyperParams
 from psearch.errors import ConfigError
 from psearch.simulator import IMAGES_PER_ITER, LOSS_CHOICES
 
@@ -85,12 +85,6 @@ class TestConfig:
         b = dataclasses.replace(a, seed=1)
         assert config_hash(a) == config_hash(ExperimentConfig())
         assert config_hash(a) != config_hash(b)
-
-    def test_hyperparams_declared_alike_in_config(self):
-        config_defaults = {f.name: f.default for f in dataclasses.fields(ExperimentConfig)}
-        for f in dataclasses.fields(HyperParams):
-            assert f.name in config_defaults
-            assert config_defaults[f.name] == f.default
 
     def test_every_key_has_cli_spelling(self):
         keys = config_keys()
@@ -195,6 +189,18 @@ class TestCliRun:
         assert rc == 2
         assert "config error" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", [["run"], ["sweep-gallery"], ["ablate", "input-count"]])
+    def test_unusable_out_dir_fails_before_training(self, tmp_path, capsys, monkeypatch,
+                                                    command):
+        trained = []
+        monkeypatch.setattr(psearch.runner, "train_from_config", trained.append)
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        rc = main([*command, *TINY, "--out-dir", str(blocker / "out")])
+        assert rc == 2
+        assert "config error: out_dir" in capsys.readouterr().err
+        assert not trained
 
     def test_overflowed_features_exit_3(self, tmp_path, capsys):
         # the encoder norm overflows to inf after the first step, zeroing every feature row

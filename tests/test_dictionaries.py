@@ -19,7 +19,7 @@ def rows(*vectors):
 
 class TestFeatureDictionary:
     def test_fifo_eviction(self):
-        d = FeatureDictionary(2)
+        d = FeatureDictionary(2, 2)
         a, b, c = unit(1, 0), unit(0, 1), unit(1, 1)
         d.push(rows(a, b), [0, 1])
         d.push(rows(c), [2])
@@ -28,14 +28,14 @@ class TestFeatureDictionary:
         assert np.array_equal(feats, rows(b, c))
 
     def test_unlabeled_entry_usable_as_negative(self):
-        d = FeatureDictionary(4)
+        d = FeatureDictionary(4, 2)
         d.push(rows(unit(1, 0)), [-1])
         feats, labels = d.negatives(5)
         assert labels == [-1]
         assert len(feats) == 1
 
     def test_capacity_bound(self):
-        d = FeatureDictionary(4)
+        d = FeatureDictionary(4, 2)
         for i in range(10):
             d.push(rows(unit(1, i + 1)), [i])
         assert len(d) == 4
@@ -43,23 +43,23 @@ class TestFeatureDictionary:
         assert len(d) == 4
 
     def test_invalid_label(self):
-        d = FeatureDictionary(2)
+        d = FeatureDictionary(2, 2)
         with pytest.raises(InvalidLabel):
             d.push(rows(unit(1, 0), unit(0, 1)), [3, -2])
         assert len(d) == 0
 
     def test_negatives_label_rule(self):
-        d = FeatureDictionary(8)
+        d = FeatureDictionary(8, 2)
         d.push(rows(unit(1, 0), unit(0, 1), unit(1, 1)), [5, 7, -1])
         feats, labels = d.negatives(5)
         assert labels == [7, -1]
 
     def test_negatives_empty_dictionary(self):
-        feats, labels = FeatureDictionary(4).negatives(0)
+        feats, labels = FeatureDictionary(4, 2).negatives(0)
         assert len(feats) == 0 and labels == []
 
     def test_negatives_all_same_label(self):
-        d = FeatureDictionary(4)
+        d = FeatureDictionary(4, 2)
         d.push(np.tile(unit(1, 0), (3, 1)), [5, 5, 5])
         feats, labels = d.negatives(5)
         assert len(feats) == 0
@@ -67,7 +67,7 @@ class TestFeatureDictionary:
     @given(st.integers(1, 10), st.lists(st.integers(-1, 6), max_size=40))
     @settings(max_examples=50, deadline=None)
     def test_holds_most_recent(self, capacity, labels):
-        d = FeatureDictionary(capacity)
+        d = FeatureDictionary(capacity, 3)
         rng = make_rng(0)
         for lab in labels:
             d.push(l2_normalize(rng.normal(size=3))[None], [lab])
@@ -76,18 +76,15 @@ class TestFeatureDictionary:
         assert stored == labels[-len(stored):]
 
     @given(st.integers(0, 2**32 - 1), st.integers(1, 10),
-           st.lists(st.integers(0, 25), max_size=8), st.sampled_from([None, 3]))
+           st.lists(st.integers(0, 25), max_size=8))
     @settings(max_examples=100, deadline=None)
-    def test_batches_keep_last_capacity_rows(self, seed, capacity, sizes, dim):
+    def test_batches_keep_last_capacity_rows(self, seed, capacity, sizes):
         """Pushing batches of any size, one larger than the buffer
         included, leaves the last `capacity` rows, stored as given: after
         every push (so across wrap-arounds) matrix() equals a per-row FIFO
-        reference, and is a read-only view of the buffer, not a copy. A
-        buffer sized up front (dim) is there before the first push and
-        behaves alike."""
+        reference, and is a read-only view of the buffer, not a copy."""
         rng = make_rng(seed)
-        d = FeatureDictionary(capacity, dim)
-        assert (d._feats is None) == (dim is None)
+        d = FeatureDictionary(capacity, 3)
         reference = deque(maxlen=capacity)
         for n in sizes:
             batch, batch_labels = rng.normal(size=(n, 3)), rng.integers(-1, 6, size=n)
@@ -208,7 +205,7 @@ class TestClassCenterTable:
             np.testing.assert_allclose(t.centers[lab], center, rtol=0, atol=1e-12)
 
 
-@pytest.mark.parametrize("store", [FeatureDictionary(4).push, ClassCenterTable(4).update])
+@pytest.mark.parametrize("store", [FeatureDictionary(4, 2).push, ClassCenterTable(4).update])
 @pytest.mark.parametrize("features", [rows(unit(1, 0)), unit(1, 0), np.eye(3)[:, :2]])
 def test_one_feature_row_per_label(store, features):
     with pytest.raises(DimensionMismatch):

@@ -19,7 +19,7 @@ def images(*label_lists):
 
 @pytest.fixture
 def filled_dict():
-    d = FeatureDictionary(8)
+    d = FeatureDictionary(8, 3)
     d.push(np.eye(3), [7, -1, 9])
     return d
 

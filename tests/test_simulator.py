@@ -199,7 +199,7 @@ def test_end_to_end_weight_gradient():
 
     obs = rng.normal(size=(4, obs_dim))
     labels = np.array([0, 1, 0, 2])
-    dictionary = FeatureDictionary(10)
+    dictionary = FeatureDictionary(10, embed_dim)
     dictionary.push([l2_normalize(v) for v in rng.normal(size=(4, embed_dim))], [1, 2, 3, 4])
     table = ClassCenterTable(num_classes=5)
     table.update(np.arange(5), [l2_normalize(v) for v in rng.normal(size=(5, embed_dim))])
@@ -420,7 +420,7 @@ def test_olp_matches_per_subgroup_oracle(seed, stored, images):
     exact ties, which both must order by subgroup, then dictionary;
     olp_loss keeps each label's first place in the oracle's ranking."""
     base = [l2_normalize(v) for v in make_rng(seed).normal(size=(4, 3))]
-    dictionary = FeatureDictionary(25)
+    dictionary = FeatureDictionary(25, 3)
     dictionary.push([base[k] for k, _ in stored], [lab for _, lab in stored])
     images = images[:len(images) // 2 * 2]
     feats = np.array([base[k] for img in images for k, _ in img])
