@@ -14,22 +14,22 @@ import numpy as np
 from .errors import InvalidParams
 
 
-def build_subgroups(image_labels: list[np.ndarray]) -> np.ndarray:
+def build_subgroups(labels: np.ndarray) -> np.ndarray:
     """(anchor, positive) row pairs of one iteration's subgroups, as an
     (m, 2) int array.
 
-    image_labels holds one label array per image; images 2t and 2t+1
-    form a pair, and rows count through all images in order. Every two
+    labels is the (images, proposals) label matrix; images 2t and 2t+1
+    form a pair, and the returned rows index labels.ravel(). Every two
     distinct proposals of one pair sharing an identity label >= 0 yield
     two subgroups, each member anchoring once, ordered by pair, then by
     first and second member. Background (-2) and unlabeled (-1)
     proposals never pair.
     """
-    if len(image_labels) % 2:
-        raise InvalidParams(f"images must come in pairs, got {len(image_labels)}")
-    labels = np.concatenate([np.zeros(0, dtype=np.int64), *image_labels])
-    pair = np.repeat(np.arange(len(image_labels)) // 2, [len(lab) for lab in image_labels])
-    same = (labels[:, None] == labels) & (pair[:, None] == pair) & (labels[:, None] >= 0)
+    if len(labels) % 2:
+        raise InvalidParams(f"images must come in pairs, got {len(labels)}")
+    flat = labels.ravel()
+    pair = np.arange(flat.size) // (2 * labels.shape[1])
+    same = (flat[:, None] == flat) & (pair[:, None] == pair) & (flat[:, None] >= 0)
     pairs = np.argwhere(np.triu(same, 1))
     return np.stack([pairs, pairs[:, ::-1]], axis=1).reshape(-1, 2)
 

@@ -135,18 +135,18 @@ def make_out_dir(cfg: ExperimentConfig) -> str:
 
 
 def run_experiment(cfg: ExperimentConfig) -> dict:
-    """The `run` subcommand: train, evaluate, write train.csv, eval.csv,
-    config-echo.txt."""
+    """The `run` subcommand: train, evaluate and sweep, then write
+    train.csv, eval.csv, config-echo.txt."""
     cfg.validate()
     out = make_out_dir(cfg)
     mAP, cmc, rows, rset = evaluate_config(cfg)
-    write_train_csv(os.path.join(out, "train.csv"), rows)
-
     eval_rows = [(len(rset.gallery), mAP, cmc[1], cmc[5], cmc[10])]
     sizes = cfg.gallery_size_list()
     if sizes:
         rng = make_rng(cfg.seed + 2 * EVAL_SEED_OFFSET)
         eval_rows.extend(gallery_sweep(rset, sizes, rng))
+
+    write_train_csv(os.path.join(out, "train.csv"), rows)
     write_eval_csv(os.path.join(out, "eval.csv"), eval_rows)
 
     with open(os.path.join(out, "config-echo.txt"), "w", newline="\n") as fh:
@@ -186,32 +186,28 @@ def _sweep_points(kind: str, base: ExperimentConfig):
 
 def run_ablation(kind: str, base: ExperimentConfig) -> str:
     """The `ablate` subcommand: one CSV row per sweep point, all points
-    sharing the base seed."""
+    sharing the base seed. Every point is evaluated before the CSV is
+    opened."""
     base.validate()
     path = os.path.join(make_out_dir(base), f"ablate-{kind}.csv")
 
     if kind == "gallery-size":
-        rows = run_gallery_size_sweep(base)
-        with open(path, "w", newline="\n") as fh:
-            fh.write("gallery_size,mAP,top1,top5,top10,config_hash\n")
-            h = config_hash(base)
-            for r in rows:
-                fh.write(",".join(_fmt(v) for v in r) + f",{h}\n")
-        return path
-
-    points = _sweep_points(kind, base)
-    param = points[0][0] if kind != "loss-weights" else "param"
-    with open(path, "w", newline="\n") as fh:
-        if kind == "loss-weights":
-            fh.write("param,value,mAP,top1,top5,top10,config_hash\n")
-        else:
-            fh.write(f"{param},mAP,top1,top5,top10,config_hash\n")
+        header = "gallery_size,mAP,top1,top5,top10,config_hash"
+        h = config_hash(base)
+        lines = [",".join(_fmt(v) for v in r) + f",{h}" for r in run_gallery_size_sweep(base)]
+    else:
+        points = _sweep_points(kind, base)
+        param = "param,value" if kind == "loss-weights" else points[0][0]
+        header = f"{param},mAP,top1,top5,top10,config_hash"
+        lines = []
         for name, value, cfg in points:
             mAP, cmc, _, _ = evaluate_config(cfg)
-            h = config_hash(cfg)
             cells = [name, _fmt(value)] if kind == "loss-weights" else [_fmt(value)]
-            cells += [_fmt(mAP), _fmt(cmc[1]), _fmt(cmc[5]), _fmt(cmc[10]), h]
-            fh.write(",".join(cells) + "\n")
+            cells += [_fmt(mAP), _fmt(cmc[1]), _fmt(cmc[5]), _fmt(cmc[10]), config_hash(cfg)]
+            lines.append(",".join(cells))
+
+    with open(path, "w", newline="\n") as fh:
+        fh.write("\n".join([header, *lines]) + "\n")
     return path
 
 

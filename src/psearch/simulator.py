@@ -65,12 +65,6 @@ class SyntheticWorld:
     seed: int
 
 
-@dataclass
-class SceneImage:
-    obs: np.ndarray     # (proposals, obs_dim), one observation per row
-    labels: np.ndarray  # (proposals,) int: identity, -1 unlabeled, -2 background
-
-
 def check_world(num_identities: int, latent_dim: int, obs_dim: int, sigma_view: float,
                 sigma_noise: float, unlabeled_fraction: float,
                 background_fraction: float) -> None:
@@ -154,32 +148,37 @@ def observe(
 
 def sample_image_pair(
     world: SyntheticWorld,
+    pairs: int,
     proposals_per_image: int,
     rng: np.random.Generator,
-) -> tuple[SceneImage, SceneImage]:
-    """Two images whose first proposals are the same labeled identity.
+) -> tuple[np.ndarray, np.ndarray]:
+    """All image pairs of one iteration, as observation rows (image by
+    image) and a (2 * pairs, proposals_per_image) label matrix. Images
+    2t and 2t+1 form pair t; their first proposals share one identity.
 
     Each other proposal is a background with probability
     background_fraction, else an unlabeled person with probability
     unlabeled_fraction, else a uniformly drawn identity. The generator is
-    read in bulk, in this order: the shared identity (choice), one uniform
-    per other proposal (random), one identity per other proposal
-    (integers), one normal block of each image's camera offset row and
-    each proposal's prototype and jitter rows, then one normal block with
-    a row per background. Unlabeled persons take their normalised
-    prototype row; all rows of an image share its camera offset.
+    read in bulk, in this order: each pair's shared identity (choice), a
+    uniform per other proposal (random), an identity per other proposal
+    (integers), one normal block of each image's camera offset row and each
+    proposal's prototype and jitter rows, then one normal block with a
+    row per background. At one pair this order must not change: every
+    2-images/iter training stream depends on it. Unlabeled persons take
+    their normalised prototype row; all rows of an image share its camera
+    offset. The name stays because perfbench's tracer looks it up.
     """
     if proposals_per_image < 1:
         raise InvalidParams("proposals_per_image must be >= 1")
-    n, dim = proposals_per_image, world.latent_dim
-    shared = rng.choice(world.num_identities)
-    u = rng.random((2, n - 1))
-    drawn = rng.integers(world.num_identities, size=(2, n - 1))
+    n, dim, images = proposals_per_image, world.latent_dim, 2 * pairs
+    shared = rng.choice(world.num_identities, size=pairs)
+    u = rng.random((images, n - 1))
+    drawn = rng.integers(world.num_identities, size=(images, n - 1))
     bg, unlabeled = world.background_fraction, world.unlabeled_fraction
     labels = np.where(u < bg, LABEL_BACKGROUND,
                       np.where(u < bg + unlabeled, LABEL_UNIDENTIFIED, drawn))
-    labels = np.column_stack([np.full(2, shared), labels])
-    z = rng.normal(size=(2, 1 + 2 * n, dim))
+    labels = np.column_stack([np.repeat(shared, 2), labels])
+    z = rng.normal(size=(images, 1 + 2 * n, dim))
     anon = z[:, 1:n + 1]
     protos = np.where((labels == LABEL_UNIDENTIFIED)[..., None],
                       anon / np.linalg.norm(anon, axis=-1, keepdims=True),
@@ -187,7 +186,7 @@ def sample_image_pair(
     obs = observe(world, protos, z[:, :1], z[:, n + 1:])
     background = labels == LABEL_BACKGROUND
     obs[background] = rng.normal(size=(np.count_nonzero(background), world.obs_dim))
-    return SceneImage(obs=obs[0], labels=labels[0]), SceneImage(obs=obs[1], labels=labels[1])
+    return obs.reshape(-1, world.obs_dim), labels
 
 
 class ToyEncoder:
@@ -275,15 +274,18 @@ def train(
     rng: np.random.Generator,
     dict_multiplier: int = 40,
 ) -> tuple[ToyEncoder, list[TrainLogRow]]:
-    """Four-step loop per iteration: encode, compute the loss
-    alpha * metric + beta * identity, SGD step through the normalization
-    Jacobian, then one dictionary push (when the metric term is olp, the
-    only one that reads the dictionary) and one center update (c2hep).
+    """Per iteration: one sampler call draws every image, then encode,
+    the loss alpha * metric + beta * identity, an SGD step through the
+    normalization Jacobian, and one dictionary push (olp, the only metric
+    term that reads the dictionary). c2hep updates the centers twice:
+    before the loss it installs unseen labels from their first rows, which
+    c2hep_loss needs, and after the SGD step it blends in every labeled row.
 
-    An iteration is a few arrays: the feature matrix X (one row per
-    proposal), its label array y, one read of the dictionary, and one
-    gradient matrix G that every loss term adds into. Center updates that
-    cancel keep the old center and are logged once per run.
+    An iteration is a few arrays: the sampled observation and label
+    matrices, the feature matrix X (one row per proposal), its labels
+    y = labels.ravel(), one read of the dictionary, and one gradient
+    matrix G that every loss term adds into. Center updates that cancel
+    keep the old center and are logged once per run.
     """
     if loss_choice not in LOSS_TERMS:
         raise InvalidParams(f"unknown loss choice {loss_choice!r}")
@@ -307,10 +309,9 @@ def train(
     log_rows: list[TrainLogRow] = []
     for it in range(iters):
         lr = schedule.lr_at(it, iters)
-        images = [img for _ in range(images_per_iter // 2)
-                  for img in sample_image_pair(world, proposals_per_image, rng)]
-        y = np.concatenate([img.labels for img in images])
-        X, cache = encoder.encode(np.concatenate([img.obs for img in images]))
+        obs, labels = sample_image_pair(world, images_per_iter // 2, proposals_per_image, rng)
+        y = labels.ravel()
+        X, cache = encoder.encode(obs)
         # an overflowed encoder norm gives zero rows; no loss or store may see them
         if not (np.all(np.isfinite(X)) and np.all(X.any(axis=1))):
             raise DivergenceDetected(f"zero or non-finite features at iteration {it}")
@@ -321,7 +322,7 @@ def train(
         metric_val = 0.0
         hard_ranked = np.zeros(0, dtype=np.int64)
         if metric == "olp":
-            anchor, positive = build_subgroups([img.labels for img in images]).T
+            anchor, positive = build_subgroups(labels).T
             if anchor.size:
                 res = olp_loss(X[anchor], X[positive], y[anchor], *dictionary.matrix())
                 metric_val, hard_ranked = res.loss, res.hard_ranked
@@ -343,8 +344,6 @@ def train(
             pool_len = len(pool)
             overfull += pool_len > hp.pool_size
             if identity == "c2hep" and labeled.size:
-                # c2hep_loss needs a center for every row's label: install
-                # unseen labels from their first rows
                 labs, first = np.unique(y[labeled], return_index=True)
                 fresh = labeled[first[~centers.seen[labs]]]
                 degenerate += centers.update(y[fresh], X[fresh])

@@ -16,7 +16,7 @@ from psearch.config import (
     emit_config,
     parse_config,
 )
-from psearch.errors import ConfigError
+from psearch.errors import ConfigError, DivergenceDetected
 from psearch.simulator import IMAGES_PER_ITER, LOSS_CHOICES
 
 TINY = [
@@ -202,6 +202,15 @@ class TestCliRun:
         assert "config error: out_dir" in capsys.readouterr().err
         assert not trained
 
+    def test_failed_sweep_writes_no_file(self, tmp_path, monkeypatch):
+        def broken_sweep(*args):
+            raise RuntimeError("sweep failed")
+
+        monkeypatch.setattr(psearch.runner, "gallery_sweep", broken_sweep)
+        with pytest.raises(RuntimeError, match="sweep failed"):
+            main(["run", *TINY, "--gallery-sizes", "11,20", "--out-dir", str(tmp_path)])
+        assert os.listdir(tmp_path) == []
+
     def test_overflowed_features_exit_3(self, tmp_path, capsys):
         # the encoder norm overflows to inf after the first step, zeroing every feature row
         rc = main(["run", *TINY, "--lr-initial", "1e308", "--out-dir", str(tmp_path)])
@@ -259,6 +268,22 @@ class TestCliAblateAndSweep:
         # each row carries the hash of its own configuration
         hashes = {row.split(",")[-1] for row in lines[1:]}
         assert len(hashes) == 3
+
+    def test_divergence_at_a_later_point_writes_no_file(self, tmp_path, monkeypatch):
+        evaluate = psearch.runner.evaluate_config
+        points = []
+
+        def diverges_at_second_point(cfg):
+            points.append(cfg.images_per_iter)
+            if len(points) == 2:
+                raise DivergenceDetected("non-finite total loss at iteration 0")
+            return evaluate(cfg)
+
+        monkeypatch.setattr(psearch.runner, "evaluate_config", diverges_at_second_point)
+        rc = main(["ablate", "input-count", *TINY, "--out-dir", str(tmp_path)])
+        assert rc == 3
+        assert points == [2, 4]
+        assert os.listdir(tmp_path) == []
 
     def test_sweep_gallery(self, tmp_path):
         out = str(tmp_path / "out")

@@ -14,7 +14,8 @@ def unit(*comps):
 
 
 def images(*label_lists):
-    return [np.array(labels, dtype=np.int64) for labels in label_lists]
+    """The (images, proposals) label matrix, one list per image."""
+    return np.array(label_lists, dtype=np.int64)
 
 
 @pytest.fixture
@@ -54,39 +55,43 @@ class TestBuildSubgroups:
 
     def test_within_image_same_identity_pairs(self):
         # identity 3 twice in image one, once in image two: 3 pairs, 6 subgroups
-        assert len(build_subgroups(images([3, 3], [3]))) == 6
+        assert len(build_subgroups(images([3, 3], [3, -2]))) == 6
 
     def test_rows_count_through_pairs(self):
-        # pairs never mix; the second pair's rows start after the first's
-        sgs = build_subgroups(images([3], [3], [5, 3], [5]))
-        assert sgs.tolist() == [[0, 1], [1, 0], [2, 4], [4, 2]]
+        # pairs never mix (row 5 holds identity 3 too); the second pair's
+        # rows start after the first's
+        sgs = build_subgroups(images([3, -1], [3, -2], [5, 3], [5, -1]))
+        assert sgs.tolist() == [[0, 2], [2, 0], [4, 6], [6, 4]]
 
     def test_requires_two_images(self):
-        with pytest.raises(InvalidParams):
-            build_subgroups(images([1]))
+        for rows in (1, 3):
+            with pytest.raises(InvalidParams):
+                build_subgroups(np.ones((rows, 2), dtype=np.int64))
 
-    @given(st.lists(st.lists(st.integers(-2, 4), max_size=6), max_size=8))
+    @given(pairs=st.integers(0, 4), proposals=st.integers(0, 6), data=st.data())
     @settings(max_examples=200, deadline=None)
-    def test_matches_per_pair_loop(self, label_lists):
-        """Uneven (and empty) images: the same rows in the same order as
-        one pass per image pair."""
-        image_labels = images(*label_lists[:len(label_lists) // 2 * 2])
-        got = build_subgroups(image_labels)
+    def test_matches_per_pair_loop(self, pairs, proposals, data):
+        """(2 * pairs, proposals) label matrices, empty ones included: the
+        same rows in the same order as one pass per image pair."""
+        cells = data.draw(st.lists(st.integers(-2, 4), min_size=2 * pairs * proposals,
+                                   max_size=2 * pairs * proposals))
+        labels = np.array(cells, dtype=np.int64).reshape(2 * pairs, proposals)
+        got = build_subgroups(labels)
         assert got.dtype == np.int64
-        assert got.tolist() == per_pair_subgroups(image_labels).tolist()
+        assert got.tolist() == per_pair_subgroups(labels).tolist()
 
 
-def per_pair_subgroups(image_labels):
+def per_pair_subgroups(labels):
     """Reference: the subgroups of each image pair, one pair at a time,
     with rows offset by the images before it."""
     subgroups, start = [], 0
-    for first, second in zip(image_labels[::2], image_labels[1::2]):
-        labels = np.concatenate([first, second])
-        for i in range(labels.size):
-            for j in range(i + 1, labels.size):
-                if labels[i] >= 0 and labels[i] == labels[j]:
+    for first, second in zip(labels[::2], labels[1::2]):
+        pair = np.concatenate([first, second])
+        for i in range(pair.size):
+            for j in range(i + 1, pair.size):
+                if pair[i] >= 0 and pair[i] == pair[j]:
                     subgroups += [[start + i, start + j], [start + j, start + i]]
-        start += labels.size
+        start += pair.size
     return np.array(subgroups, dtype=np.int64).reshape(-1, 2)
 
 

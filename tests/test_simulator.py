@@ -73,34 +73,55 @@ class TestWorld:
                            atol=1e-10)
 
 
+def per_pair_draw(world, proposals_per_image, rng):
+    """Reference: the sampler's body from when it drew one image pair per
+    call; returns that pair's observation rows and (2, proposals) labels."""
+    n, dim = proposals_per_image, world.latent_dim
+    shared = rng.choice(world.num_identities)
+    u = rng.random((2, n - 1))
+    drawn = rng.integers(world.num_identities, size=(2, n - 1))
+    bg, unlabeled = world.background_fraction, world.unlabeled_fraction
+    labels = np.where(u < bg, LABEL_BACKGROUND,
+                      np.where(u < bg + unlabeled, LABEL_UNIDENTIFIED, drawn))
+    labels = np.column_stack([np.full(2, shared), labels])
+    z = rng.normal(size=(2, 1 + 2 * n, dim))
+    anon = z[:, 1:n + 1]
+    protos = np.where((labels == LABEL_UNIDENTIFIED)[..., None],
+                      anon / np.linalg.norm(anon, axis=-1, keepdims=True),
+                      world.prototypes[np.maximum(labels, 0)])
+    obs = observe(world, protos, z[:, :1], z[:, n + 1:])
+    background = labels == LABEL_BACKGROUND
+    obs[background] = rng.normal(size=(np.count_nonzero(background), world.obs_dim))
+    return np.concatenate([obs[0], obs[1]]), labels
+
+
 class TestSampleImagePair:
     def test_shared_identity_and_counts(self):
         w = generate_world(20, seed=4)
         rng = make_rng(4)
-        for _ in range(20):
-            img1, img2 = sample_image_pair(w, 8, rng)
-            assert img1.obs.shape == img2.obs.shape == (8, w.obs_dim)
-            assert len(img1.labels) == 8 and len(img2.labels) == 8
-            l1 = {lab for lab in img1.labels.tolist() if lab >= 0}
-            l2 = {lab for lab in img2.labels.tolist() if lab >= 0}
-            assert l1 & l2
+        for pairs in [1, 2, 3, 4] * 5:
+            obs, labels = sample_image_pair(w, pairs, 8, rng)
+            assert obs.shape == (2 * pairs * 8, w.obs_dim)
+            assert labels.shape == (2 * pairs, 8) and labels.dtype == np.int64
+            assert np.all(labels[0::2, 0] == labels[1::2, 0])
+            assert np.all(labels[:, 0] >= 0)
 
     def test_zero_unlabeled_fraction(self):
         w = generate_world(20, unlabeled_fraction=0.0, seed=4)
         rng = make_rng(4)
-        for _ in range(30):
-            for img in sample_image_pair(w, 8, rng):
-                assert np.all(img.labels != LABEL_UNIDENTIFIED)
+        for pairs in range(1, 5):
+            _, labels = sample_image_pair(w, pairs, 8, rng)
+            assert np.all(labels != LABEL_UNIDENTIFIED)
 
     def test_invalid_proposal_count(self):
         w = generate_world(5, seed=0)
         with pytest.raises(InvalidParams):
-            sample_image_pair(w, 0, make_rng(0))
+            sample_image_pair(w, 1, 0, make_rng(0))
 
     @given(background=st.floats(0, 1), unlabeled=st.floats(0, 1),
-           proposals=st.integers(1, 8))
+           pairs=st.integers(1, 4), proposals=st.integers(1, 8))
     @settings(max_examples=40, deadline=None)
-    def test_pair_structure_and_label_shares(self, background, unlabeled, proposals):
+    def test_pair_structure_and_label_shares(self, background, unlabeled, pairs, proposals):
         """Shared first identity, one camera offset per image, noiseless
         identity components, and label shares near the fractions: swapped
         thresholds would move the background and unlabeled shares."""
@@ -108,20 +129,24 @@ class TestSampleImagePair:
                            unlabeled_fraction=unlabeled, background_fraction=background,
                            seed=1)
         rng = make_rng(7)
-        pairs = [sample_image_pair(w, proposals, rng) for _ in range(300)]
-        for first, second in pairs:
-            assert first.labels[0] == second.labels[0] >= 0
-        for img in (img for pair in pairs[:10] for img in pair):
-            assert img.obs.shape == (proposals, 16) and img.labels.shape == (proposals,)
-            person = img.labels != LABEL_BACKGROUND
-            labels, obs = img.labels[person], img.obs[person]
-            view = obs @ w.view_map
-            assert np.allclose(view, view[0], rtol=0, atol=1e-12)
-            lifted = obs @ w.lift_map
-            ident = labels >= 0
-            assert np.allclose(lifted[ident], w.prototypes[labels[ident]], rtol=0, atol=1e-12)
-            assert np.allclose(np.linalg.norm(lifted[~ident], axis=1), 1.0, rtol=0, atol=1e-12)
-        others = np.concatenate([img.labels[1:] for pair in pairs for img in pair])
+        draws = [sample_image_pair(w, pairs, proposals, rng) for _ in range(300 // pairs)]
+        for obs, labels in draws:
+            assert obs.shape == (2 * pairs * proposals, 16)
+            assert labels.shape == (2 * pairs, proposals)
+            assert np.all(labels[0::2, 0] == labels[1::2, 0]) and np.all(labels[:, 0] >= 0)
+        for obs, labels in draws[:10]:
+            for img_obs, img_labels in zip(obs.reshape(2 * pairs, proposals, 16), labels):
+                person = img_labels != LABEL_BACKGROUND
+                img_labels, img_obs = img_labels[person], img_obs[person]
+                view = img_obs @ w.view_map
+                assert np.allclose(view, view[0], rtol=0, atol=1e-12)
+                lifted = img_obs @ w.lift_map
+                ident = img_labels >= 0
+                assert np.allclose(lifted[ident], w.prototypes[img_labels[ident]],
+                                   rtol=0, atol=1e-12)
+                assert np.allclose(np.linalg.norm(lifted[~ident], axis=1), 1.0,
+                                   rtol=0, atol=1e-12)
+        others = np.concatenate([labels[:, 1:].ravel() for _, labels in draws])
         if others.size:
             top = min(background + unlabeled, 1.0)
             shares = [np.mean(others == LABEL_BACKGROUND),
@@ -129,6 +154,24 @@ class TestSampleImagePair:
             # at least 600 draws: 0.1 is about five standard deviations
             assert np.allclose(shares, [background, top - background, 1 - top],
                                rtol=0, atol=0.1)
+
+    @given(background=st.floats(0, 1), unlabeled=st.floats(0, 1),
+           proposals=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_one_pair_reads_the_generator_as_a_per_pair_draw(self, background, unlabeled,
+                                                              proposals, seed):
+        """At one pair (2 images per iteration) the observations, the labels
+        and the generator state afterwards equal the per-pair draw's bit for
+        bit, so the training streams of 2-image runs are unchanged."""
+        w = generate_world(20, latent_dim=4, obs_dim=16, unlabeled_fraction=unlabeled,
+                           background_fraction=background, seed=seed % 7)
+        rng, ref_rng = make_rng(seed), make_rng(seed)
+        for _ in range(3):
+            obs, labels = sample_image_pair(w, 1, proposals, rng)
+            ref_obs, ref_labels = per_pair_draw(w, proposals, ref_rng)
+            assert obs.tobytes() == ref_obs.tobytes() and obs.shape == ref_obs.shape
+            assert labels.tolist() == ref_labels.tolist()
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 class TestToyEncoder:
@@ -206,7 +249,7 @@ def test_end_to_end_weight_gradient():
     pool = np.arange(5)
     frozen = enc.encode(obs)[0]
     # the two label-0 proposals anchor against each other's frozen feature
-    anchor, positive = build_subgroups([labels[:2], labels[2:]]).T
+    anchor, positive = build_subgroups(labels.reshape(2, 2)).T
     assert anchor.tolist() == [0, 2]
 
     def total_and_grads(W, b):
@@ -316,19 +359,19 @@ class TestTrain:
         monkeypatch.setattr(sim, "FeatureDictionary", RecordingDictionary)
         person_rows = []
 
-        def recording_pair(*args, **kwargs):
-            pair = sample_image_pair(*args, **kwargs)
-            person_rows.append(sum(int(np.sum(img.labels != LABEL_BACKGROUND)) for img in pair))
-            return pair
+        def recording_sampler(*args, **kwargs):
+            obs, labels = sample_image_pair(*args, **kwargs)
+            person_rows.append(int(np.sum(labels != LABEL_BACKGROUND)))
+            return obs, labels
 
-        monkeypatch.setattr(sim, "sample_image_pair", recording_pair)
+        monkeypatch.setattr(sim, "sample_image_pair", recording_sampler)
         _, rows = train(self.small_world(seed=3), ToyEncoder(16, 8), HyperParams(),
                         Schedule(), choice, 4, 4, 12, make_rng(3), dict_multiplier=2)
-        per_iter = np.add.reduceat(person_rows, np.arange(0, len(person_rows), 2))
+        assert len(person_rows) == 12  # one sampler call per iteration
         capacity = 2 * 4 * 4
-        assert per_iter.sum() > capacity
-        assert [r.dict_size for r in rows] == np.minimum(np.cumsum(per_iter), capacity).tolist()
-        pushed = per_iter.sum() if sim.LOSS_TERMS[choice][0] == "olp" else 0
+        assert sum(person_rows) > capacity
+        assert [r.dict_size for r in rows] == np.minimum(np.cumsum(person_rows), capacity).tolist()
+        pushed = sum(person_rows) if sim.LOSS_TERMS[choice][0] == "olp" else 0
         assert len(RecordingDictionary.pushed_labels) == pushed
 
     @pytest.mark.parametrize("choice", sim.LOSS_CHOICES)
@@ -411,22 +454,24 @@ proposal = st.tuples(st.integers(0, 3), st.integers(LABEL_BACKGROUND, 4))
 @given(seed=st.integers(0, 2**32 - 1),
        stored=st.lists(st.tuples(st.integers(0, 3), st.integers(LABEL_UNIDENTIFIED, 4)),
                        max_size=30),
-       images=st.lists(st.lists(proposal, min_size=1, max_size=5), min_size=2, max_size=8))
+       pairs=st.integers(1, 4), proposals=st.integers(1, 5), data=st.data())
 @settings(max_examples=200, deadline=None)
-def test_olp_matches_per_subgroup_oracle(seed, stored, images):
-    """train()'s OLP path (build_subgroups, one dictionary read, olp_loss)
-    against checks.olp_oracle. Features are copies of four base vectors,
-    so equal similarities (within one subgroup and across subgroups) are
-    exact ties, which both must order by subgroup, then dictionary;
-    olp_loss keeps each label's first place in the oracle's ranking."""
+def test_olp_matches_per_subgroup_oracle(seed, stored, pairs, proposals, data):
+    """train()'s OLP path (build_subgroups on a (2 * pairs, proposals)
+    label matrix, one dictionary read, olp_loss) against
+    checks.olp_oracle. Features are copies of four base vectors, so equal
+    similarities (within one subgroup and across subgroups) are exact
+    ties, which both must order by subgroup, then dictionary; olp_loss
+    keeps each label's first place in the oracle's ranking."""
     base = [l2_normalize(v) for v in make_rng(seed).normal(size=(4, 3))]
     dictionary = FeatureDictionary(25, 3)
     dictionary.push([base[k] for k, _ in stored], [lab for _, lab in stored])
-    images = images[:len(images) // 2 * 2]
-    feats = np.array([base[k] for img in images for k, _ in img])
-    labels = np.array([lab for img in images for _, lab in img])
-    anchor, positive = build_subgroups(
-        [np.array([lab for _, lab in img]) for img in images]).T
+    rows = data.draw(st.lists(proposal, min_size=2 * pairs * proposals,
+                              max_size=2 * pairs * proposals))
+    feats = np.array([base[k] for k, _ in rows])
+    label_matrix = np.array([lab for _, lab in rows]).reshape(2 * pairs, proposals)
+    labels = label_matrix.ravel()
+    anchor, positive = build_subgroups(label_matrix).T
     if anchor.size == 0:
         with pytest.raises(EmptySubgroups):
             olp_loss(feats[anchor], feats[positive], labels[anchor], *dictionary.matrix())
