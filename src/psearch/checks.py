@@ -183,7 +183,8 @@ def run_gradient_checks(trials: int = 100, seed: int = 12345) -> CheckResult:
 def run_oracle_checks(max_gallery: int = 6) -> CheckResult:
     """Exhaustive AP/CMC agreement with the brute-force oracle over every
     relevance pattern for galleries up to max_gallery items, both from the
-    full ranking and from the hit ranks that evaluation scores."""
+    full ranking and from the hit ranks that evaluation scores; then
+    olp_loss against olp_oracle on 100 tied dictionaries."""
     checked = 0
     for size in range(1, max_gallery + 1):
         keys = -(np.arange(size) // 2)  # tied in pairs; the stable order is not 0..size-1
@@ -195,16 +196,24 @@ def run_oracle_checks(max_gallery: int = 6) -> CheckResult:
             hits = hit_ranks(keys[None], np.array([pattern]))[0]
             aps = (average_precision(ranked, relevant), ap_from_hit_ranks(hits, len(hits)))
             if max(abs(ap - ap_oracle(ranked, relevant)) for ap in aps) > 1e-12:
-                return CheckResult("map-cmc-oracle", False,
+                return CheckResult("oracles", False,
                                    f"AP mismatch at size {size} pattern {pattern}")
             for k in range(1, size + 1):
                 want = cmc_oracle(ranked, relevant, k)
                 if not cmc_topk(ranked, relevant, k) == (hits[0] <= k) == want:
-                    return CheckResult("map-cmc-oracle", False,
-                                       f"CMC mismatch at size {size} k {k}")
+                    return CheckResult("oracles", False, f"CMC mismatch at size {size} k {k}")
             checked += 1
-    return CheckResult("map-cmc-oracle", True,
-                       f"{checked} relevance patterns, galleries <= {max_gallery}")
+    rng, base = make_rng(3), np.vstack([np.eye(3), np.full(3, 3 ** -0.5)])  # rows tie exactly
+    for trial in range(100):
+        d = FeatureDictionary(24, 3)  # 40 pushed rows wrap the ring
+        d.push(base[rng.integers(0, 4, 40)], rng.integers(-1, 6, 40))
+        (a, p), lab = base[rng.integers(0, 4, (2, 6))], rng.integers(0, 6, 6)
+        res, (loss, grads, ranked) = olp_loss(a, p, lab, *d.matrix()), olp_oracle(a, p, lab, d)
+        if (res.hard_ranked.tolist() != list(dict.fromkeys(ranked)) or abs(res.loss - loss) > 1e-12
+                or np.abs(res.anchor_gradients - grads).max() > 1e-12):
+            return CheckResult("oracles", False, f"olp_loss mismatch in trial {trial}")
+    return CheckResult("oracles", True, f"{checked} relevance patterns, galleries <= "
+                       f"{max_gallery}; olp_loss on 100 tied dictionaries")
 
 
 def run_invariant_checks(trials: int = 1000, seed: int = 777) -> list[CheckResult]:

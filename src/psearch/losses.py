@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dictionaries import ClassCenterTable
-from .errors import EmptyPool, EmptySubgroups, UninitializedCenter
+from .errors import EmptyPool, EmptySubgroups, InvalidLabel, UninitializedCenter
 from .numerics import softmax
 
 
@@ -43,28 +43,34 @@ def olp_loss(anchors, positives, anchor_labels, negatives, negative_labels) -> O
     distinct label of the unmasked (subgroup, negative) similarities once,
     in the order a stable descending sort of all of them first reaches it:
     by the label's highest similarity, ties by subgroup, then dictionary
-    position.
+    position. negative_labels must be >= -1 (InvalidLabel otherwise); the
+    ranking's per-label tables are sized by the largest of them.
     """
     anchors = np.asarray(anchors, dtype=np.float64)
     if len(anchors) == 0:
         raise EmptySubgroups("need at least one subgroup")
     negatives = np.reshape(negatives, (-1, anchors.shape[1]))
-    negative_labels = np.asarray(negative_labels)
-    keep = negative_labels[None, :] != np.asarray(anchor_labels)[:, None]
-    sims = np.where(keep, anchors @ negatives.T, -np.inf)
-    d_pos = np.einsum("ij,ij->i", anchors, positives)
-    probs = softmax(np.column_stack([d_pos, sims]))
+    negative_labels = np.asarray(negative_labels, dtype=np.int64)
+    if negative_labels.min(initial=-1) < -1:
+        raise InvalidLabel(f"negative label {negative_labels.min()} below -1")
+    scores = np.empty((len(anchors), 1 + len(negatives)))
+    np.einsum("ij,ij->i", anchors, positives, out=scores[:, 0])
+    sims = np.matmul(anchors, negatives.T, out=scores[:, 1:])
+    np.copyto(sims, -np.inf, where=negative_labels == np.asarray(anchor_labels)[:, None])
+    probs = softmax(scores)
     q, q_hat = probs[:, 0], probs[:, 1:]
     grads = (q - 1.0)[:, None] * positives + q_hat @ negatives
-    # a stable descending sort of all unmasked similarities first reaches a
-    # column at its best (first) row, flat index row * K + col
-    best = sims.max(axis=0)
-    col = np.flatnonzero(best > -np.inf)
-    flat = sims.argmax(axis=0)[col] * sims.shape[1] + col
-    ranked = negative_labels[col[np.lexsort((flat, -best[col]))]]
-    _, first = np.unique(ranked, return_index=True)
-    return OlpResult(loss=math.fsum(-np.log(q)) / len(anchors), q=q, q_hat=q_hat,
-                     anchor_gradients=grads, hard_ranked=ranked[np.sort(first)])
+    # a stable descending sort of all unmasked similarities first reaches a label at its best
+    # one, at the least row * K + col holding it; tables are indexed by label + 1
+    lab = negative_labels + 1
+    best = np.full(lab.max(initial=0) + 1, -np.inf)
+    np.maximum.at(best, lab, sims.max(axis=0))
+    rows, cols = (sims == best[lab]).nonzero()
+    first = np.full(best.size, sims.size)
+    np.minimum.at(first, lab[cols], rows * len(lab) + cols)
+    present = (best > -np.inf).nonzero()[0]
+    ranked = present[np.lexsort((first[present], -best[present]))] - 1
+    return OlpResult(math.fsum(-np.log(q)) / len(anchors), q, q_hat, grads, ranked)
 
 
 def _pooled_cross_entropy(scores, pos, n):

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from psearch.checks import c2hep_oracle, contrastive_oracle, hep_oracle, triplet_oracle
-from psearch.dictionaries import ClassCenterTable, HyperParams
-from psearch.errors import EmptyPool, EmptySubgroups, UninitializedCenter
+from psearch.dictionaries import ClassCenterTable, FeatureDictionary, HyperParams
+from psearch.errors import EmptyPool, EmptySubgroups, InvalidLabel, UninitializedCenter
 from psearch.losses import (
     c2hep_loss,
     contrastive_loss,
@@ -14,7 +14,7 @@ from psearch.losses import (
     olp_loss,
     triplet_loss,
 )
-from psearch.numerics import check_gradient, l2_normalize, make_rng
+from psearch.numerics import check_gradient, l2_normalize, make_rng, softmax
 
 
 def unit(*comps):
@@ -63,6 +63,15 @@ class TestOlpLoss:
         with pytest.raises(EmptySubgroups):
             olp_loss(np.zeros((0, 2)), np.zeros((0, 2)), [], np.zeros((0, 2)), [])
 
+    def test_negative_label_below_minus_one_raises(self):
+        # the ranking indexes its per-label tables by label + 1, where -2 would wrap
+        with pytest.raises(InvalidLabel, match="^negative label -2 below -1$"):
+            olp_loss(*one_subgroup([1.0, 0.0], [1.0, 0.0], [[0.0, 1.0], [1.0, 0.0]])[:4], [-2, 3])
+
+    def test_empty_label_list_ranks_as_int(self):
+        res = olp_loss(*one_subgroup([1.0, 0.0], [1.0, 0.0], [])[:4], [])
+        assert res.hard_ranked.dtype == np.int64 and res.hard_ranked.size == 0
+
     @given(st.integers(0, 2**32), st.integers(1, 5), st.integers(0, 8))
     @settings(max_examples=60, deadline=None)
     def test_probabilities_sum_to_one(self, seed, count, max_negs):
@@ -86,6 +95,60 @@ class TestOlpLoss:
 
             err = check_gradient(f, anchors[i], res.anchor_gradients[i])
             assert err < 1e-6
+
+
+def column_ranked_olp(anchors, positives, anchor_labels, negatives, negative_labels):
+    """Reference: olp_loss's body from when it ranked hard negatives per
+    dictionary column (a column argmax, a lexsort of every column, then
+    np.unique); returns (loss, q, q_hat, anchor gradients, hard_ranked)."""
+    anchors = np.asarray(anchors, dtype=np.float64)
+    negatives = np.reshape(negatives, (-1, anchors.shape[1]))
+    negative_labels = np.asarray(negative_labels)
+    keep = negative_labels[None, :] != np.asarray(anchor_labels)[:, None]
+    sims = np.where(keep, anchors @ negatives.T, -np.inf)
+    d_pos = np.einsum("ij,ij->i", anchors, positives)
+    probs = softmax(np.column_stack([d_pos, sims]))
+    q, q_hat = probs[:, 0], probs[:, 1:]
+    grads = (q - 1.0)[:, None] * positives + q_hat @ negatives
+    best = sims.max(axis=0)
+    col = np.flatnonzero(best > -np.inf)
+    flat = sims.argmax(axis=0)[col] * sims.shape[1] + col
+    ranked = negative_labels[col[np.lexsort((flat, -best[col]))]]
+    _, first = np.unique(ranked, return_index=True)
+    return math.fsum(-np.log(q)) / len(anchors), q, q_hat, grads, ranked[np.sort(first)]
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 1400), st.integers(0, 2800), st.integers(1, 10),
+       st.integers(1, 6), st.sampled_from([0, 3, 200, 5000]), st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_olp_matches_column_ranked_reference(seed, capacity, pushed, count, distinct, max_label,
+                                             shared_label):
+    """olp_loss equals the per-column ranking it replaced bit for bit, on
+    ring views of 0-1,400 rows labeled -1..max_label. Rows are copies of
+    a few vectors, so similarities tie exactly across columns, subgroups
+    and labels; anchors are not unit-norm; with shared_label every anchor
+    has one label, whose columns are then masked in every row."""
+    rng = make_rng(seed)
+    base = unit_rows(rng, distinct, dim=5)
+    dictionary = FeatureDictionary(capacity, 5)
+    dictionary.push(base[rng.integers(0, distinct, pushed)],
+                    rng.integers(-1, max_label + 1, pushed))
+    negatives, negative_labels = dictionary.matrix()
+    anchors = base[rng.integers(0, distinct, count)] * rng.uniform(0.5, 2.0)  # one scale: rows tie
+    positives = unit_rows(rng, count, dim=5)
+    labels = rng.integers(0, max_label + 1, count)
+    if len(negative_labels):
+        stored = negative_labels[rng.integers(0, len(negative_labels), count)]
+        labels = np.where(stored >= 0, stored, labels)
+    if shared_label:
+        labels[:] = labels[0]
+    res = olp_loss(anchors, positives, labels, negatives, negative_labels)
+    loss, q, q_hat, grads, ranked = column_ranked_olp(anchors, positives, labels, negatives,
+                                                      negative_labels)
+    assert res.loss == loss
+    for got, want in ((res.q, q), (res.q_hat, q_hat), (res.anchor_gradients, grads)):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert res.hard_ranked.tolist() == ranked.tolist()
 
 
 class TestHepLoss:
