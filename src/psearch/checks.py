@@ -83,13 +83,12 @@ def hep_oracle(scores, labels, pool):
     pooled = sorted(pool.tolist())
     terms, grads = [], []
     for row, label in zip(scores, labels):
+        probs = softmax(np.asarray(row)[pooled])
+        idx = pooled.index(label)
+        terms.append(-math.log(probs[idx]))
+        probs[idx] -= 1.0
         grad = np.zeros(len(row))
-        if label in pool:
-            probs = softmax(np.asarray(row)[pooled])
-            idx = pooled.index(label)
-            terms.append(-math.log(probs[idx]))
-            probs[idx] -= 1.0
-            grad[pooled] = probs / len(labels)
+        grad[pooled] = probs / len(labels)
         grads.append(grad)
     return math.fsum(terms) / len(labels), np.array(grads)
 
@@ -268,7 +267,7 @@ def run_invariant_checks(trials: int = 1000, seed: int = 777) -> list[CheckResul
     worst = 0.0
     for _ in range(trials // 10):
         dim = 8
-        table = ClassCenterTable(num_classes=4)
+        table = ClassCenterTable(num_classes=4, dim=dim)
         rows = rng.normal(size=(4, dim))
         table.update(np.arange(4), rows / np.linalg.norm(rows, axis=1, keepdims=True))
         x = l2_normalize(rng.normal(size=dim))

@@ -8,7 +8,6 @@ center per identity, blended progressively and renormalized.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -46,11 +45,11 @@ class HyperParams:
             raise ValueError("triplet_margin must be in [0, 2], contrastive_margin in [-1, 1]")
 
 
-def _rows_for(labels: np.ndarray, features) -> np.ndarray:
-    """features as a float matrix with one row per label."""
+def _rows_for(labels: np.ndarray, features, dim: int) -> np.ndarray:
+    """features as a float matrix with one row of width dim per label."""
     features = np.asarray(features, dtype=np.float64)
-    if features.ndim != 2 or len(features) != labels.size:
-        raise DimensionMismatch(f"{labels.size} labels but features of shape {features.shape}")
+    if features.shape != (labels.size, dim):
+        raise DimensionMismatch(f"{labels.size} rows of width {dim} wanted, got {features.shape}")
     return features
 
 
@@ -83,7 +82,7 @@ class FeatureDictionary:
             return
         if labels.min() < LABEL_UNIDENTIFIED:
             raise InvalidLabel(f"label {labels.min()} not storable")
-        features = _rows_for(labels, features)
+        features = _rows_for(labels, features, self._feats.shape[1])
         # of a push larger than the buffer only its last `capacity` rows survive
         slots = (self._pushed + np.arange(labels.size))[-self.capacity:] % self.capacity
         self._feats[slots] = self._feats[slots + self.capacity] = features[-self.capacity:]
@@ -113,15 +112,15 @@ class FeatureDictionary:
 
 class ClassCenterTable:
     """Per-identity running centers, blended by phi and renormalized: one
-    (num_classes, dim) matrix, allocated at the first update, and a mask
-    of the labels that have a center."""
+    (num_classes, dim) matrix, allocated now, and a mask of the labels
+    that have a center."""
 
-    def __init__(self, num_classes: int, phi: float = 0.5):
+    def __init__(self, num_classes: int, dim: int, phi: float = 0.5):
         if not (0.0 < phi < 1.0):
             raise ValueError("phi must be in (0, 1)")
         self.num_classes = num_classes
         self.phi = phi
-        self.centers: Optional[np.ndarray] = None
+        self.centers = np.zeros((num_classes, dim))
         self.seen = np.zeros(num_classes, dtype=bool)
 
     def update(self, labels, features) -> int:
@@ -134,11 +133,9 @@ class ClassCenterTable:
         labels = np.asarray(labels, dtype=np.int64)
         if labels.size and not (labels.min() >= 0 and labels.max() < self.num_classes):
             raise InvalidLabel(f"labels {labels} outside [0, {self.num_classes})")
-        features = _rows_for(labels, features)
+        features = _rows_for(labels, features, self.centers.shape[1])
         if labels.size == 0:
             return 0
-        if self.centers is None:
-            self.centers = np.zeros((self.num_classes, features.shape[1]))
         # round r blends the r-th row of every label, so rows of one label go in row order
         order = np.argsort(labels, kind="stable")
         occurrence = np.empty_like(order)

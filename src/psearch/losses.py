@@ -73,14 +73,21 @@ def olp_loss(anchors, positives, anchor_labels, negatives, negative_labels) -> O
     return OlpResult(math.fsum(-np.log(q)) / len(anchors), q, q_hat, grads, ranked)
 
 
-def _pooled_cross_entropy(scores, pos, n):
-    """Cross-entropy of score rows against column pos of each row, summed
-    and divided by n; returns (loss, d loss / d scores)."""
+def _pooled_cross_entropy(scores, labels, pooled, missing_error):
+    """Cross-entropy of score rows, one column per pooled class (a sorted
+    int array), against the column of each row's label; the loss is the
+    mean over rows. Returns (loss, d loss / d scores). A label that is not
+    a pooled class raises missing_error, naming the smallest such label."""
+    labels = np.asarray(labels)
+    pos = np.searchsorted(pooled, labels)
+    missing = labels[pooled[np.minimum(pos, pooled.size - 1)] != labels]
+    if missing.size:
+        raise missing_error(f"sample label {missing.min()} not in pool")
     probs = softmax(scores)
     rows = np.arange(len(pos))
-    loss = math.fsum(-np.log(probs[rows, pos])) / n
+    loss = math.fsum(-np.log(probs[rows, pos])) / len(pos)
     probs[rows, pos] -= 1.0
-    return loss, probs / n
+    return loss, probs / len(pos)
 
 
 def hep_loss(scores, labels, pool) -> tuple[float, np.ndarray]:
@@ -88,22 +95,20 @@ def hep_loss(scores, labels, pool) -> tuple[float, np.ndarray]:
     sorted int array of class labels.
 
     Row i holds the C+1 scores (identities plus background) of a sample
-    labeled labels[i]. Samples whose label is outside the pool contribute
-    zero loss and zero gradient but still count in the normalization,
-    which divides by the total sample count.
+    labeled labels[i]. Every label must be a pool class, as
+    select_priority_pool guarantees for ground truth and the background
+    class; InvalidLabel names the smallest one that is not. The loss is
+    the mean over samples; scores outside the pool get zero gradient.
     """
     pooled = np.asarray(pool, dtype=np.int64)
     if pooled.size == 0:
         raise EmptyPool("priority pool is empty")
     scores = np.asarray(scores, dtype=np.float64)
-    labels = np.asarray(labels)
+    # take's copy is C-ordered; the softmax sums of an F-ordered scores[:, pooled] round apart
+    loss, pooled_grads = _pooled_cross_entropy(scores.take(pooled, axis=1), labels, pooled,
+                                               InvalidLabel)
     grads = np.zeros_like(scores)
-    inside = np.flatnonzero(np.isin(labels, pooled))
-    if inside.size == 0:
-        return 0.0, grads
-    loss, sub_grads = _pooled_cross_entropy(
-        scores[np.ix_(inside, pooled)], np.searchsorted(pooled, labels[inside]), len(labels))
-    grads[np.ix_(inside, pooled)] = sub_grads
+    grads[:, pooled] = pooled_grads
     return loss, grads
 
 
@@ -130,15 +135,10 @@ def c2hep_loss(
     pooled = pooled[table.seen[pooled]]
     if pooled.size == 0:
         raise EmptyPool("no pooled class has an initialized center")
-    features = np.asarray(features, dtype=np.float64)
-    labels = np.asarray(labels)
-    pos = np.searchsorted(pooled, labels)
-    missing = labels[pooled[np.minimum(pos, pooled.size - 1)] != labels]
-    if missing.size:
-        raise UninitializedCenter(f"sample label {missing.min()} not in pool")
     center_mat = table.centers[pooled]
     center_mat /= np.linalg.norm(center_mat, axis=1, keepdims=True)  # scores stay cosines
-    loss, dscores = _pooled_cross_entropy(lam * (features @ center_mat.T), pos, len(labels))
+    scores = lam * (np.asarray(features, dtype=np.float64) @ center_mat.T)
+    loss, dscores = _pooled_cross_entropy(scores, labels, pooled, UninitializedCenter)
     return loss, lam * (dscores @ center_mat)
 
 

@@ -51,7 +51,7 @@ def softmax(scores) -> np.ndarray:
     if scores.size == 0:
         raise EmptyInput("softmax of empty score vector")
     top = np.max(scores, axis=-1, keepdims=True)
-    if np.isnan(scores).any() or not np.all(np.isfinite(top)):
+    if not np.all(np.isfinite(top)):  # np.max carries a NaN into top
         raise NonFiniteFunction("non-finite scores")
     exps = np.exp(scores - top)
     return exps / np.sum(exps, axis=-1, keepdims=True)

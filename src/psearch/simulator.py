@@ -285,7 +285,10 @@ def train(
     matrices, the feature matrix X (one row per proposal), its labels
     y = labels.ravel(), one read of the dictionary, and one gradient
     matrix G that every loss term adds into. Center updates that cancel
-    keep the old center and are logged once per run.
+    keep the old center and are logged once per run. The sampler gives the
+    first proposals of each image pair one shared identity, so every
+    iteration has at least two subgroups, labeled rows and hep rows per
+    pair, and no loss term is ever empty.
     """
     if loss_choice not in LOSS_TERMS:
         raise InvalidParams(f"unknown loss choice {loss_choice!r}")
@@ -300,7 +303,7 @@ def train(
     dictionary = FeatureDictionary(capacity, encoder.embed_dim) if metric == "olp" else None
     stored = 0
     if identity == "c2hep":
-        centers = ClassCenterTable(num_classes=world.num_identities, phi=hp.phi)
+        centers = ClassCenterTable(world.num_identities, encoder.embed_dim, phi=hp.phi)
     elif identity == "hep":
         head = ClassifierHead(world.num_identities, encoder.embed_dim)
     bg_class = world.num_identities
@@ -323,10 +326,9 @@ def train(
         hard_ranked = np.zeros(0, dtype=np.int64)
         if metric == "olp":
             anchor, positive = build_subgroups(labels).T
-            if anchor.size:
-                res = olp_loss(X[anchor], X[positive], y[anchor], *dictionary.matrix())
-                metric_val, hard_ranked = res.loss, res.hard_ranked
-                np.add.at(G, anchor, hp.alpha * res.anchor_gradients / anchor.size)
+            res = olp_loss(X[anchor], X[positive], y[anchor], *dictionary.matrix())
+            metric_val, hard_ranked = res.loss, res.hard_ranked
+            np.add.at(G, anchor, hp.alpha * res.anchor_gradients / anchor.size)
         elif metric is not None:
             term = triplet_loss if metric == "triplet" else contrastive_loss
             margin = hp.triplet_margin if metric == "triplet" else hp.contrastive_margin
@@ -343,7 +345,7 @@ def train(
             )
             pool_len = len(pool)
             overfull += pool_len > hp.pool_size
-            if identity == "c2hep" and labeled.size:
+            if identity == "c2hep":
                 labs, first = np.unique(y[labeled], return_index=True)
                 fresh = labeled[first[~centers.seen[labs]]]
                 degenerate += centers.update(y[fresh], X[fresh])
@@ -352,13 +354,12 @@ def train(
             elif identity == "hep":
                 # identities, plus backgrounds as class bg_class; unlabeled persons skipped
                 rows = np.flatnonzero(y != LABEL_UNIDENTIFIED)
-                if rows.size:
-                    targets = np.where(y[rows] >= 0, y[rows], bg_class)
-                    id_val, dscores = hep_loss(head.scores(X[rows]), targets, pool)
-                    dA, dc, dX = head.backward(X[rows], dscores)
-                    G[rows] += hp.beta * dX
-                    head.A -= lr * (hp.beta * dA)
-                    head.c -= lr * (hp.beta * dc)
+                targets = np.where(y[rows] >= 0, y[rows], bg_class)
+                id_val, dscores = hep_loss(head.scores(X[rows]), targets, pool)
+                dA, dc, dX = head.backward(X[rows], dscores)
+                G[rows] += hp.beta * dX
+                head.A -= lr * (hp.beta * dA)
+                head.c -= lr * (hp.beta * dc)
 
         total = hp.alpha * metric_val + hp.beta * id_val
         if not np.isfinite(total):

@@ -90,7 +90,7 @@ def test_criterion_2_closed_form_spot_values():
     if abs(hval - 0.12692801104297250) > 1e-8:
         failures.append(f"hep {hval}")
 
-    table = ClassCenterTable(num_classes=2)
+    table = ClassCenterTable(num_classes=2, dim=2)
     table.update([0, 1], np.array([[1.0, 0.0], [0.0, 1.0]]))
     cval, _ = c2hep_loss(np.array([[1.0, 0.0]]), [0], pool, table, lam=10.0)
     if abs(cval - math.log(1 + math.exp(-10))) > 1e-12:

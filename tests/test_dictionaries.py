@@ -115,35 +115,35 @@ def reference_centers(labels, features, phi):
 
 class TestClassCenterTable:
     def test_blend_and_renormalize(self):
-        t = ClassCenterTable(num_classes=4, phi=0.5)
+        t = ClassCenterTable(num_classes=4, dim=2, phi=0.5)
         t.update([0], rows(unit(1, 0)))
         t.update([0], rows(unit(0, 1)))
         s = np.sqrt(2) / 2
         assert np.allclose(t.centers[0], [s, s], atol=1e-12)
 
     def test_fixed_point(self):
-        t = ClassCenterTable(num_classes=4)
+        t = ClassCenterTable(num_classes=4, dim=2)
         x = unit(3, 4)
         t.update([1, 1], rows(x, x))
         assert np.allclose(t.centers[1], x, atol=1e-12)
 
     def test_first_observation(self):
-        t = ClassCenterTable(num_classes=4)
+        t = ClassCenterTable(num_classes=4, dim=2)
         t.update([3], rows(unit(0, 1)))
         assert np.allclose(t.centers[3], [0, 1])
         assert np.flatnonzero(t.seen).tolist() == [3]
 
     def test_empty_update_changes_nothing(self):
-        t = ClassCenterTable(num_classes=3)
+        t = ClassCenterTable(num_classes=3, dim=2)
         assert t.update([], np.zeros((0, 2))) == 0
-        assert t.centers is None and not t.seen.any()
+        assert not (t.centers.any() or t.seen.any())
         t.update([1], rows(unit(1, 0)))
         centers, seen = t.centers.copy(), t.seen.copy()
         assert t.update(np.zeros(0, dtype=np.int64), np.zeros((0, 2))) == 0
         assert np.array_equal(t.centers, centers) and np.array_equal(t.seen, seen)
 
     def test_invalid_label(self):
-        t = ClassCenterTable(num_classes=4)
+        t = ClassCenterTable(num_classes=4, dim=2)
         with pytest.raises(InvalidLabel):
             t.update([-1], rows(unit(1, 0)))
         with pytest.raises(InvalidLabel):
@@ -152,7 +152,7 @@ class TestClassCenterTable:
 
     def test_degenerate_update_keeps_old_center(self):
         # the antipodal row cancels; the other label still blends
-        t = ClassCenterTable(num_classes=2, phi=0.5)
+        t = ClassCenterTable(num_classes=2, dim=2, phi=0.5)
         t.update([0], rows(unit(1, 0)))
         assert t.update([0, 1], rows(unit(-1, 0), unit(0, 1))) == 1
         assert np.array_equal(t.centers[0], unit(1, 0))
@@ -161,7 +161,7 @@ class TestClassCenterTable:
     def test_deterministic(self):
         results = []
         for _ in range(2):
-            t = ClassCenterTable(num_classes=4)
+            t = ClassCenterTable(num_classes=4, dim=5)
             rng = make_rng(3)
             for _ in range(5):
                 x = rng.normal(size=(4, 5))
@@ -173,7 +173,7 @@ class TestClassCenterTable:
     @settings(max_examples=50, deadline=None)
     def test_center_stays_unit_norm(self, seed):
         rng = make_rng(seed)
-        t = ClassCenterTable(num_classes=3, phi=0.5)
+        t = ClassCenterTable(num_classes=3, dim=6, phi=0.5)
         for _ in range(10):
             t.update([int(rng.integers(3))], l2_normalize(rng.normal(size=6))[None])
         assert np.allclose(np.linalg.norm(t.centers[t.seen], axis=1), 1.0, atol=1e-9)
@@ -193,7 +193,7 @@ class TestClassCenterTable:
         flip = np.flatnonzero(rng.random(len(labels)) < 0.3)
         flip = flip[flip > 0]
         labels[flip], features[flip] = labels[flip - 1], -features[flip - 1]
-        t = ClassCenterTable(num_classes=5, phi=phi)
+        t = ClassCenterTable(num_classes=5, dim=3, phi=phi)
         degenerate, start = 0, 0
         for n in sizes:
             degenerate += t.update(labels[start:start + n], features[start:start + n])
@@ -205,9 +205,15 @@ class TestClassCenterTable:
             np.testing.assert_allclose(t.centers[lab], center, rtol=0, atol=1e-12)
 
 
-@pytest.mark.parametrize("store", [FeatureDictionary(4, 2).push, ClassCenterTable(4).update])
-@pytest.mark.parametrize("features", [rows(unit(1, 0)), unit(1, 0), np.eye(3)[:, :2]])
+@pytest.mark.parametrize("store", [
+    lambda labels, features: FeatureDictionary(4, 2).push(features, labels),
+    lambda labels, features: ClassCenterTable(4, 2).update(labels, features),
+], ids=["push", "update"])
+@pytest.mark.parametrize("features", [rows(unit(1, 0)), unit(1, 0), np.eye(3)[:, :2],
+                                      np.ones((2, 1)), np.eye(3)[:2]])
 def test_one_feature_row_per_label(store, features):
+    """Two labels need two rows of the store's width 2: a width-1 matrix
+    must not broadcast."""
     with pytest.raises(DimensionMismatch):
         store([0, 1], features)
 

@@ -163,19 +163,12 @@ class TestHepLoss:
         loss, _ = hep_loss(np.zeros((1, 6)), [2], pool)
         assert loss == pytest.approx(math.log(4), abs=1e-12)
 
-    def test_outside_pool_contributes_zero(self):
-        pool = np.array([0, 1])
-        scores = np.array([[2.0, 0.0, 0.0], [9.0, 9.0, 9.0]])
-        loss, grads = hep_loss(scores, [0, 2], pool)
-        # outside sample still counts in the denominator
-        assert loss == pytest.approx(0.12692801104297250 / 2, abs=1e-15)
-        assert np.all(grads[1] == 0.0)
-
-    def test_all_outside_pool_is_zero(self):
-        pool = np.array([0])
-        loss, grads = hep_loss(np.zeros((1, 4)), [3], pool)
-        assert loss == 0.0
-        assert np.all(grads[0] == 0.0)
+    @pytest.mark.parametrize("labels, missing", [([3, 0, 2, 1], 2), ([1, 5, 0], 5),
+                                                 ([4, 3, 2], 2)])
+    def test_label_outside_pool_raises(self, labels, missing):
+        # pool classes 0, 1 and 3; labels between and past them
+        with pytest.raises(InvalidLabel, match=f"^sample label {missing} not in pool$"):
+            hep_loss(np.zeros((len(labels), 6)), labels, np.array([0, 1, 3]))
 
     def test_empty_pool(self):
         with pytest.raises(EmptyPool):
@@ -200,9 +193,43 @@ class TestHepLoss:
         assert grads[0][2] == 0.0
 
 
+def masked_hep(scores, labels, pool):
+    """Reference: hep_loss's body from when it also took labels outside
+    the pool, masked with np.isin and gathered with np.ix_ (its return for
+    an all-outside batch dropped); returns (loss, score gradients)."""
+    pooled = np.asarray(pool, dtype=np.int64)
+    scores = np.asarray(scores, dtype=np.float64)
+    labels = np.asarray(labels)
+    grads = np.zeros_like(scores)
+    inside = np.flatnonzero(np.isin(labels, pooled))
+    probs = softmax(scores[np.ix_(inside, pooled)])
+    pos, rows = np.searchsorted(pooled, labels[inside]), np.arange(len(inside))
+    loss = math.fsum(-np.log(probs[rows, pos])) / len(labels)
+    probs[rows, pos] -= 1.0
+    grads[np.ix_(inside, pooled)] = probs / len(labels)
+    return loss, grads
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 40), st.integers(1, 300))
+@settings(max_examples=100, deadline=None)
+def test_hep_matches_masked_reference(seed, n, num_classes):
+    """hep_loss equals the masked body it replaced bit for bit on labels
+    inside the pool: 1-40 score rows of up to 301 columns, pools of 1 to
+    all of them that always hold the background column."""
+    rng = make_rng(seed)
+    drawn = rng.choice(num_classes, size=int(rng.integers(0, num_classes + 1)), replace=False)
+    pool = np.sort(np.append(drawn, num_classes))
+    labels = rng.choice(pool, size=n)
+    scores = 3.0 * rng.normal(size=(n, num_classes + 1))
+    loss, grads = hep_loss(scores, labels, pool)
+    want_loss, want_grads = masked_hep(scores, labels, pool)
+    assert loss == want_loss
+    assert grads.shape == want_grads.shape and grads.tobytes() == want_grads.tobytes()
+
+
 class TestC2hepLoss:
     def make_table(self):
-        t = ClassCenterTable(num_classes=4)
+        t = ClassCenterTable(num_classes=4, dim=3)
         t.update([0, 1], [unit(1, 0, 0), unit(0, 1, 0)])
         return t
 
@@ -235,7 +262,7 @@ class TestC2hepLoss:
             c2hep_loss(feats, labels, np.arange(4), table, lam=10.0)
 
     def test_no_initialized_centers_raises(self):
-        table = ClassCenterTable(num_classes=4)
+        table = ClassCenterTable(num_classes=4, dim=3)
         pool = np.array([2, 3])
         with pytest.raises(EmptyPool):
             c2hep_loss([unit(1, 0, 0)], [2], pool, table, lam=10.0)
@@ -249,7 +276,7 @@ class TestC2hepLoss:
 
     def test_feature_gradient_finite_difference(self):
         rng = make_rng(21)
-        table = ClassCenterTable(num_classes=5)
+        table = ClassCenterTable(num_classes=5, dim=6)
         table.update(np.arange(5), unit_rows(rng, 5, dim=6))
         pool = np.array([0, 1, 2, 3, 4])
         x = l2_normalize(rng.normal(size=6))
@@ -266,7 +293,7 @@ class TestC2hepLoss:
         # the loss reads centers through normalization, so scaling a
         # stored center must not change anything
         rng = make_rng(4)
-        table = ClassCenterTable(num_classes=2)
+        table = ClassCenterTable(num_classes=2, dim=2)
         table.update([0, 1], [unit(1, 0), unit(0, 1)])
         pool = np.array([0, 1])
         x = l2_normalize(rng.normal(size=2))
@@ -320,10 +347,9 @@ class TestArrayLossesMatchOracles:
     @settings(max_examples=100, deadline=None)
     def test_hep(self, seed, n, num_classes):
         rng = make_rng(seed)
-        labels = rng.integers(0, num_classes + 1, size=n)
-        pooled = rng.choice(num_classes + 1, size=int(rng.integers(1, num_classes + 2)),
-                            replace=False)
-        pool = np.sort(pooled)
+        pool = np.sort(rng.choice(num_classes + 1, size=int(rng.integers(1, num_classes + 2)),
+                                  replace=False))
+        labels = rng.choice(pool, size=n)
         scores = 3.0 * rng.normal(size=(n, num_classes + 1))
         assert_matches(hep_loss(scores, labels, pool), hep_oracle(scores, labels, pool))
 
@@ -331,7 +357,7 @@ class TestArrayLossesMatchOracles:
     @settings(max_examples=100, deadline=None)
     def test_c2hep(self, seed, n, num_classes):
         rng = make_rng(seed)
-        table = ClassCenterTable(num_classes=num_classes + 2)
+        table = ClassCenterTable(num_classes=num_classes + 2, dim=4)
         table.update(np.arange(num_classes), unit_rows(rng, num_classes))
         labels = rng.integers(0, num_classes, size=n)
         # the pool may hold a class without a center, which is skipped

@@ -66,7 +66,8 @@ class TestSoftmax:
         assert out.tolist() == [[0.5, 0.0, 0.5], [0.5, 0.5, 0.0]]
 
     @pytest.mark.parametrize("scores", [[np.nan, 0.0], [np.inf, 0.0],
-                                        [[0.0, 1.0], [-np.inf, -np.inf]]])
+                                        [[0.0, 1.0], [-np.inf, -np.inf]],
+                                        [[np.nan, -np.inf]], [[0.0, 1.0], [1.0, np.nan]]])
     def test_non_finite_rejected(self, scores):
         with pytest.raises(NonFiniteFunction):
             softmax(scores)

@@ -244,7 +244,7 @@ def test_end_to_end_weight_gradient():
     labels = np.array([0, 1, 0, 2])
     dictionary = FeatureDictionary(10, embed_dim)
     dictionary.push([l2_normalize(v) for v in rng.normal(size=(4, embed_dim))], [1, 2, 3, 4])
-    table = ClassCenterTable(num_classes=5)
+    table = ClassCenterTable(num_classes=5, dim=embed_dim)
     table.update(np.arange(5), [l2_normalize(v) for v in rng.normal(size=(5, embed_dim))])
     pool = np.arange(5)
     frozen = enc.encode(obs)[0]
@@ -432,8 +432,7 @@ def test_degenerate_center_updates_warn_once_per_run(caplog, monkeypatch):
     blend = ClassCenterTable.update
 
     def antipodal_update(self, labels, features):
-        if self.centers is not None:
-            features = np.where(self.seen[labels, None], -self.centers[labels], features)
+        features = np.where(self.seen[labels, None], -self.centers[labels], features)
         counts.append(blend(self, labels, features))
         return counts[-1]
 

@@ -57,15 +57,18 @@ def test_tracer_installs_traces_a_run_and_uninstalls(monkeypatch):
         tracer.install()  # KeyError or AttributeError on a renamed layer
         assert all(hasattr(f, "__wrapped__") for f in traced_objects(tracer_mod.LAYERS))
         world = generate_world(10, latent_dim=4, obs_dim=16, seed=0)
-        train(world, ToyEncoder(16, 8), HyperParams(), Schedule(), "olp+c2hep",
-              2, 4, 5, make_rng(0))
+        for loss_choice in ("olp+c2hep", "triplet+hep"):  # perfbench's two training losses
+            train(world, ToyEncoder(16, 8), HyperParams(), Schedule(), loss_choice,
+                  2, 4, 5, make_rng(0))
         summary = tracer.summary()
     finally:
         tracer.uninstall()
     assert not any(hasattr(f, "__wrapped__") for f in traced_objects(tracer_mod.LAYERS))
     for layer in ("simulator.sample_image_pair", "simulator.encode",
                   "dictionaries.push", "dictionaries.center_update",
-                  "pairing.select_priority_pool", "losses.olp_loss", "losses.c2hep_loss"):
+                  "pairing.select_priority_pool", "losses.olp_loss", "losses.c2hep_loss",
+                  "losses.hep_loss", "losses.triplet_loss", "simulator.head_scores",
+                  "simulator.head_backward"):
         assert summary[f"{layer}.calls"] >= 5, layer
 
 
