@@ -79,17 +79,16 @@ def olp_oracle(anchors, positives, anchor_labels, dictionary: FeatureDictionary)
 
 
 def hep_oracle(scores, labels, pool):
-    """Per-sample hep_loss; returns (loss, score gradient rows)."""
+    """Per-sample hep_loss over score rows with one column per pool class;
+    returns (loss, score gradient rows)."""
     pooled = sorted(pool.tolist())
     terms, grads = [], []
     for row, label in zip(scores, labels):
-        probs = softmax(np.asarray(row)[pooled])
+        probs = softmax(row)
         idx = pooled.index(label)
         terms.append(-math.log(probs[idx]))
         probs[idx] -= 1.0
-        grad = np.zeros(len(row))
-        grad[pooled] = probs / len(labels)
-        grads.append(grad)
+        grads.append(probs / len(labels))
     return math.fsum(terms) / len(labels), np.array(grads)
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dictionaries import ClassCenterTable
-from .errors import EmptyPool, EmptySubgroups, InvalidLabel, UninitializedCenter
+from .errors import DimensionMismatch, EmptyPool, EmptySubgroups, InvalidLabel, UninitializedCenter
 from .numerics import softmax
 
 
@@ -91,25 +91,22 @@ def _pooled_cross_entropy(scores, labels, pooled, missing_error):
 
 
 def hep_loss(scores, labels, pool) -> tuple[float, np.ndarray]:
-    """Cross-entropy over classifier score rows restricted to the pool, a
-    sorted int array of class labels.
+    """Cross-entropy over classifier score rows, one column per class of
+    the pool, a sorted int array of class labels (DimensionMismatch
+    otherwise); classes outside the pool have no loss term.
 
-    Row i holds the C+1 scores (identities plus background) of a sample
-    labeled labels[i]. Every label must be a pool class, as
-    select_priority_pool guarantees for ground truth and the background
-    class; InvalidLabel names the smallest one that is not. The loss is
-    the mean over samples; scores outside the pool get zero gradient.
+    Row i holds the scores of a sample labeled labels[i]. Every label must
+    be a pool class, as select_priority_pool guarantees for ground truth
+    and the background class; InvalidLabel names the smallest one that is
+    not. The loss is the mean over samples.
     """
     pooled = np.asarray(pool, dtype=np.int64)
     if pooled.size == 0:
         raise EmptyPool("priority pool is empty")
     scores = np.asarray(scores, dtype=np.float64)
-    # take's copy is C-ordered; the softmax sums of an F-ordered scores[:, pooled] round apart
-    loss, pooled_grads = _pooled_cross_entropy(scores.take(pooled, axis=1), labels, pooled,
-                                               InvalidLabel)
-    grads = np.zeros_like(scores)
-    grads[:, pooled] = pooled_grads
-    return loss, grads
+    if scores.shape[1:] != pooled.shape:
+        raise DimensionMismatch(f"score rows {scores.shape[1:]} for {pooled.size} pool classes")
+    return _pooled_cross_entropy(scores, labels, pooled, InvalidLabel)
 
 
 def c2hep_loss(

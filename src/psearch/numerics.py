@@ -50,11 +50,11 @@ def softmax(scores) -> np.ndarray:
     scores = np.asarray(scores, dtype=np.float64)
     if scores.size == 0:
         raise EmptyInput("softmax of empty score vector")
-    top = np.max(scores, axis=-1, keepdims=True)
-    if not np.all(np.isfinite(top)):  # np.max carries a NaN into top
+    top = scores.max(axis=-1, keepdims=True)
+    if not np.isfinite(top).all():  # max carries a NaN into top
         raise NonFiniteFunction("non-finite scores")
     exps = np.exp(scores - top)
-    return exps / np.sum(exps, axis=-1, keepdims=True)
+    return exps / exps.sum(axis=-1, keepdims=True)
 
 
 def check_gradient(

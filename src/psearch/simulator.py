@@ -229,13 +229,15 @@ class ClassifierHead:
         self.A = rng.normal(size=(num_classes + 1, embed_dim)) / math.sqrt(embed_dim)
         self.c = np.zeros(num_classes + 1)
 
-    def scores(self, x: np.ndarray) -> np.ndarray:
-        """Score rows for feature rows."""
-        return x @ self.A.T + self.c
+    def scores(self, x: np.ndarray, pool: np.ndarray):
+        """Score rows for feature rows, one column per pool class, and the cache for backward."""
+        A = self.A[pool]
+        return x @ A.T + self.c[pool], (x, A)
 
-    def backward(self, x: np.ndarray, dscores: np.ndarray):
-        """Returns (dA, dc, dx), dA and dc summed over the rows."""
-        return dscores.T @ x, dscores.sum(axis=0), dscores @ self.A
+    def backward(self, cache, dscores: np.ndarray):
+        """Returns (dA, dc, dx), dA and dc of the pool rows, summed over the rows."""
+        x, A = cache
+        return dscores.T @ x, dscores.sum(axis=0), dscores @ A
 
 
 @dataclass
@@ -316,7 +318,7 @@ def train(
         y = labels.ravel()
         X, cache = encoder.encode(obs)
         # an overflowed encoder norm gives zero rows; no loss or store may see them
-        if not (np.all(np.isfinite(X)) and np.all(X.any(axis=1))):
+        if not (np.isfinite(X).all() and X.any(axis=1).all()):
             raise DivergenceDetected(f"zero or non-finite features at iteration {it}")
         person = np.flatnonzero(y != LABEL_BACKGROUND)
         labeled = np.flatnonzero(y >= 0)
@@ -355,11 +357,13 @@ def train(
                 # identities, plus backgrounds as class bg_class; unlabeled persons skipped
                 rows = np.flatnonzero(y != LABEL_UNIDENTIFIED)
                 targets = np.where(y[rows] >= 0, y[rows], bg_class)
-                id_val, dscores = hep_loss(head.scores(X[rows]), targets, pool)
-                dA, dc, dX = head.backward(X[rows], dscores)
+                # only pool rows of the head have a loss term, so only they are scored and stepped
+                scores, head_cache = head.scores(X[rows], pool)
+                id_val, dscores = hep_loss(scores, targets, pool)
+                dA, dc, dX = head.backward(head_cache, dscores)
                 G[rows] += hp.beta * dX
-                head.A -= lr * (hp.beta * dA)
-                head.c -= lr * (hp.beta * dc)
+                head.A[pool] = head_cache[1] - lr * (hp.beta * dA)
+                head.c[pool] -= lr * (hp.beta * dc)
 
         total = hp.alpha * metric_val + hp.beta * id_val
         if not np.isfinite(total):

@@ -86,7 +86,7 @@ def test_criterion_2_closed_form_spot_values():
         failures.append("olp gradient")
 
     pool = np.array([0, 1])
-    hval, _ = hep_loss(np.array([[2.0, 0.0, 0.0]]), [0], pool)
+    hval, _ = hep_loss(np.array([[2.0, 0.0]]), [0], pool)
     if abs(hval - 0.12692801104297250) > 1e-8:
         failures.append(f"hep {hval}")
 

@@ -6,7 +6,13 @@ from hypothesis import given, settings, strategies as st
 
 from psearch.checks import c2hep_oracle, contrastive_oracle, hep_oracle, triplet_oracle
 from psearch.dictionaries import ClassCenterTable, FeatureDictionary, HyperParams
-from psearch.errors import EmptyPool, EmptySubgroups, InvalidLabel, UninitializedCenter
+from psearch.errors import (
+    DimensionMismatch,
+    EmptyPool,
+    EmptySubgroups,
+    InvalidLabel,
+    UninitializedCenter,
+)
 from psearch.losses import (
     c2hep_loss,
     contrastive_loss,
@@ -15,6 +21,7 @@ from psearch.losses import (
     triplet_loss,
 )
 from psearch.numerics import check_gradient, l2_normalize, make_rng, softmax
+from psearch.simulator import ClassifierHead
 
 
 def unit(*comps):
@@ -155,12 +162,12 @@ class TestHepLoss:
     def test_frozen_value(self):
         # two pooled classes, scores 2 and 0 at the true label
         pool = np.array([0, 1])
-        loss, grads = hep_loss(np.array([[2.0, 0.0, 0.0]]), [0], pool)
+        loss, grads = hep_loss(np.array([[2.0, 0.0]]), [0], pool)
         assert loss == pytest.approx(0.12692801104297250, abs=1e-15)
 
     def test_uniform_scores_log_pool_size(self):
         pool = np.array([0, 1, 2, 3])
-        loss, _ = hep_loss(np.zeros((1, 6)), [2], pool)
+        loss, _ = hep_loss(np.zeros((1, 4)), [2], pool)
         assert loss == pytest.approx(math.log(4), abs=1e-12)
 
     @pytest.mark.parametrize("labels, missing", [([3, 0, 2, 1], 2), ([1, 5, 0], 5),
@@ -168,17 +175,23 @@ class TestHepLoss:
     def test_label_outside_pool_raises(self, labels, missing):
         # pool classes 0, 1 and 3; labels between and past them
         with pytest.raises(InvalidLabel, match=f"^sample label {missing} not in pool$"):
-            hep_loss(np.zeros((len(labels), 6)), labels, np.array([0, 1, 3]))
+            hep_loss(np.zeros((len(labels), 3)), labels, np.array([0, 1, 3]))
+
+    @pytest.mark.parametrize("shape", [(1, 3), (1, 1), (2,), (1, 2, 1)])
+    def test_score_width_other_than_pool_size_raises(self, shape):
+        # before the check, a (1, 3) row against a 2-class pool returned a loss
+        with pytest.raises(DimensionMismatch):
+            hep_loss(np.zeros(shape), [0], np.array([0, 1]))
 
     def test_empty_pool(self):
         with pytest.raises(EmptyPool):
-            hep_loss(np.zeros((1, 3)), [0], np.zeros(0, dtype=np.int64))
+            hep_loss(np.zeros((1, 0)), [0], np.zeros(0, dtype=np.int64))
 
     def test_score_gradient_finite_difference(self):
         rng = make_rng(9)
         pool = np.array([0, 2, 4])
-        fixed = rng.normal(size=6)
-        probe = rng.normal(size=6)
+        fixed = rng.normal(size=3)
+        probe = rng.normal(size=3)
 
         def f(s):
             loss, _ = hep_loss(np.stack([s, fixed]), [4, 2], pool)
@@ -187,16 +200,12 @@ class TestHepLoss:
         _, grads = hep_loss(np.stack([probe, fixed]), [4, 2], pool)
         assert check_gradient(f, probe, grads[0]) < 1e-6
 
-    def test_non_pooled_scores_get_zero_gradient(self):
-        pool = np.array([0, 1])
-        _, grads = hep_loss(np.array([[1.0, 0.5, 3.0]]), [1], pool)
-        assert grads[0][2] == 0.0
-
 
 def masked_hep(scores, labels, pool):
-    """Reference: hep_loss's body from when it also took labels outside
-    the pool, masked with np.isin and gathered with np.ix_ (its return for
-    an all-outside batch dropped); returns (loss, score gradients)."""
+    """Reference: hep_loss's body from when it took all C+1 score columns
+    and also labels outside the pool, masked with np.isin and gathered
+    with np.ix_ (its return for an all-outside batch dropped); returns
+    (loss, score gradients over all columns, zero outside the pool)."""
     pooled = np.asarray(pool, dtype=np.int64)
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels)
@@ -213,18 +222,61 @@ def masked_hep(scores, labels, pool):
 @given(st.integers(0, 2**32 - 1), st.integers(1, 40), st.integers(1, 300))
 @settings(max_examples=100, deadline=None)
 def test_hep_matches_masked_reference(seed, n, num_classes):
-    """hep_loss equals the masked body it replaced bit for bit on labels
-    inside the pool: 1-40 score rows of up to 301 columns, pools of 1 to
-    all of them that always hold the background column."""
+    """hep_loss of the pool columns equals the masked full-width body it
+    replaced bit for bit at those columns, on labels inside the pool: 1-40
+    score rows of up to 301 columns, pools of 1 to all of them that always
+    hold the background column."""
     rng = make_rng(seed)
     drawn = rng.choice(num_classes, size=int(rng.integers(0, num_classes + 1)), replace=False)
     pool = np.sort(np.append(drawn, num_classes))
     labels = rng.choice(pool, size=n)
     scores = 3.0 * rng.normal(size=(n, num_classes + 1))
-    loss, grads = hep_loss(scores, labels, pool)
+    # take's copy is C-ordered, as the pool-column scores of ClassifierHead.scores are
+    loss, grads = hep_loss(scores.take(pool, axis=1), labels, pool)
     want_loss, want_grads = masked_hep(scores, labels, pool)
     assert loss == want_loss
-    assert grads.shape == want_grads.shape and grads.tobytes() == want_grads.tobytes()
+    assert grads.shape == (n, pool.size)
+    assert grads.tobytes() == want_grads[:, pool].tobytes()
+
+
+def full_matrix_hep_step(A, c, x, labels, pool, lr, beta):
+    """Reference: the head step train() took when the head scored all C+1
+    classes and stepped all of A and c; returns (A, c, dx, loss)."""
+    loss, dscores = masked_hep(x @ A.T + c, labels, pool)
+    dA, dc, dx = dscores.T @ x, dscores.sum(axis=0), dscores @ A
+    return A - lr * (beta * dA), c - lr * (beta * dc), dx, loss
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 8), st.integers(1, 200))
+@settings(max_examples=100, deadline=None)
+def test_pool_only_head_step_matches_full_matrix_step(seed, n, num_classes):
+    """The head step of train() on the pool rows only, against the
+    full-matrix step: rows of A and c outside the pool are unchanged by
+    bytes (their gradient was exactly zero), pool rows, dx and the loss
+    agree to 1e-15. Training shapes: unit 256-d feature rows, 1-8 rows,
+    up to 200 classes plus background, pools that hold it."""
+    rng = make_rng(seed)
+    head = ClassifierHead(num_classes, seed=int(rng.integers(1000)))
+    head.c = 0.1 * rng.normal(size=num_classes + 1)
+    drawn = rng.choice(num_classes, size=int(rng.integers(0, num_classes + 1)), replace=False)
+    pool = np.sort(np.append(drawn, num_classes))
+    labels = rng.choice(pool, size=n)
+    x = unit_rows(rng, n, dim=head.A.shape[1])
+    lr, beta = 0.02, 1.0
+    want_A, want_c, want_dx, want_loss = full_matrix_hep_step(head.A, head.c, x, labels, pool,
+                                                              lr, beta)
+    scores, cache = head.scores(x, pool)
+    loss, dscores = hep_loss(scores, labels, pool)
+    dA, dc, dx = head.backward(cache, dscores)
+    head.A[pool] = cache[1] - lr * (beta * dA)
+    head.c[pool] -= lr * (beta * dc)
+    outside = np.setdiff1d(np.arange(num_classes + 1), pool)
+    assert head.A[outside].tobytes() == want_A[outside].tobytes()
+    assert head.c[outside].tobytes() == want_c[outside].tobytes()
+    assert np.abs(head.A[pool] - want_A[pool]).max() <= 1e-15
+    assert np.abs(head.c[pool] - want_c[pool]).max() <= 1e-15
+    assert np.abs(dx - want_dx).max() <= 1e-15
+    assert abs(loss - want_loss) <= 1e-15
 
 
 class TestC2hepLoss:
@@ -350,7 +402,7 @@ class TestArrayLossesMatchOracles:
         pool = np.sort(rng.choice(num_classes + 1, size=int(rng.integers(1, num_classes + 2)),
                                   replace=False))
         labels = rng.choice(pool, size=n)
-        scores = 3.0 * rng.normal(size=(n, num_classes + 1))
+        scores = 3.0 * rng.normal(size=(n, pool.size))
         assert_matches(hep_loss(scores, labels, pool), hep_oracle(scores, labels, pool))
 
     @given(st.integers(0, 2**32 - 1), st.integers(1, 12), st.integers(1, 6))

@@ -207,20 +207,27 @@ class TestToyEncoder:
 
 
 def test_classifier_head_backward_finite_difference():
-    head = ClassifierHead(3, embed_dim=5, seed=2)
+    """Scores and gradients of the pool rows of the head only, for a pool
+    that leaves classes 1 and 3 out."""
+    head = ClassifierHead(4, embed_dim=5, seed=2)
+    head.c = make_rng(7).normal(size=5)
+    pool = np.array([0, 2, 4])
     rng = make_rng(8)
     x = np.array([l2_normalize(v) for v in rng.normal(size=(3, 5))])
-    target = rng.normal(size=(3, 4))
+    target = rng.normal(size=(3, 3))
 
     def f_flat(a_flat):
-        scores = x @ a_flat.reshape(4, 5).T + head.c
+        scores = x @ a_flat.reshape(3, 5).T + head.c[pool]
         return float(np.sum(scores * target))
 
     def f_x(x_flat):
-        return float(np.sum(head.scores(x_flat.reshape(3, 5)) * target))
+        return float(np.sum(head.scores(x_flat.reshape(3, 5), pool)[0] * target))
 
-    dA, dc, dx = head.backward(x, target)
-    assert check_gradient(f_flat, head.A.ravel(), dA.ravel()) < 1e-6
+    scores, cache = head.scores(x, pool)
+    assert np.abs(scores - (x @ head.A.T + head.c)[:, pool]).max() <= 1e-15
+    dA, dc, dx = head.backward(cache, target)
+    assert dA.shape == (3, 5) and dc.shape == (3,)
+    assert check_gradient(f_flat, head.A[pool].ravel(), dA.ravel()) < 1e-6
     assert np.allclose(dc, target.sum(axis=0))
     assert check_gradient(f_x, x.ravel(), dx.ravel()) < 1e-6
 
