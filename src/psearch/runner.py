@@ -5,7 +5,9 @@ outputs."""
 from __future__ import annotations
 
 import os
-from dataclasses import replace
+import shutil
+import tempfile
+from dataclasses import astuple, replace
 
 import numpy as np
 
@@ -109,20 +111,36 @@ TRAIN_HEADER = "iteration,olp_loss,id_loss,total,dictionary_size,pool_size,lr"
 EVAL_HEADER = "gallery_size,mAP,top1,top5,top10"
 
 
-def write_train_csv(path: str, rows: list[TrainLogRow]) -> None:
+def csv_text(header: str, rows) -> str:
+    return "".join(line + "\n" for line in [header, *(",".join(_fmt(v) for v in r) for r in rows)])
+
+
+def write_text(path: str, text: str) -> None:
     with open(path, "w", newline="\n") as fh:
-        fh.write(TRAIN_HEADER + "\n")
-        for r in rows:
-            fh.write(",".join(_fmt(v) for v in (
-                r.iteration, r.olp, r.id_loss, r.total, r.dict_size,
-                r.pool_size, r.lr)) + "\n")
+        fh.write(text)
 
 
 def write_eval_csv(path: str, rows) -> None:
-    with open(path, "w", newline="\n") as fh:
-        fh.write(EVAL_HEADER + "\n")
-        for r in rows:
-            fh.write(",".join(_fmt(v) for v in r) + "\n")
+    """Eval rows as one whole file at path (see write_artifacts)."""
+    folder, name = os.path.split(path)
+    write_artifacts(folder or ".", {name: csv_text(EVAL_HEADER, rows)})
+
+
+def write_artifacts(out: str, files: dict[str, str]) -> list[str]:
+    """Write a command's files, name -> text, as one set: each is written
+    into a temp directory inside out, and all are moved in with os.replace
+    only once every one is complete. The temp directory is removed whatever
+    happens, so an error or an interrupt while writing leaves out as it was.
+    Returns the written paths."""
+    tmp = tempfile.mkdtemp(prefix=".partial-", dir=out)
+    try:
+        for name, text in files.items():
+            write_text(os.path.join(tmp, name), text)
+        for name in files:
+            os.replace(os.path.join(tmp, name), os.path.join(out, name))
+    finally:
+        shutil.rmtree(tmp, ignore_errors=True)
+    return [os.path.join(out, name) for name in files]
 
 
 def make_out_dir(cfg: ExperimentConfig) -> str:
@@ -136,7 +154,7 @@ def make_out_dir(cfg: ExperimentConfig) -> str:
 
 def run_experiment(cfg: ExperimentConfig) -> dict:
     """The `run` subcommand: train, evaluate and sweep, then write
-    train.csv, eval.csv, config-echo.txt."""
+    train.csv, eval.csv and config-echo.txt as one set."""
     cfg.validate()
     out = make_out_dir(cfg)
     mAP, cmc, rows, rset = evaluate_config(cfg)
@@ -146,11 +164,9 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
         rng = make_rng(cfg.seed + 2 * EVAL_SEED_OFFSET)
         eval_rows.extend(gallery_sweep(rset, sizes, rng))
 
-    write_train_csv(os.path.join(out, "train.csv"), rows)
-    write_eval_csv(os.path.join(out, "eval.csv"), eval_rows)
-
-    with open(os.path.join(out, "config-echo.txt"), "w", newline="\n") as fh:
-        fh.write(emit_config(cfg))
+    write_artifacts(out, {"train.csv": csv_text(TRAIN_HEADER, map(astuple, rows)),
+                          "eval.csv": csv_text(EVAL_HEADER, eval_rows),
+                          "config-echo.txt": emit_config(cfg)})
     return {"mAP": mAP, "cmc": cmc, "out_dir": out}
 
 
@@ -187,28 +203,24 @@ def _sweep_points(kind: str, base: ExperimentConfig):
 def run_ablation(kind: str, base: ExperimentConfig) -> str:
     """The `ablate` subcommand: one CSV row per sweep point, all points
     sharing the base seed. Every point is evaluated before the CSV is
-    opened."""
+    written."""
     base.validate()
-    path = os.path.join(make_out_dir(base), f"ablate-{kind}.csv")
+    out = make_out_dir(base)
 
     if kind == "gallery-size":
         header = "gallery_size,mAP,top1,top5,top10,config_hash"
-        h = config_hash(base)
-        lines = [",".join(_fmt(v) for v in r) + f",{h}" for r in run_gallery_size_sweep(base)]
+        rows = [(*r, config_hash(base)) for r in run_gallery_size_sweep(base)]
     else:
         points = _sweep_points(kind, base)
         param = "param,value" if kind == "loss-weights" else points[0][0]
         header = f"{param},mAP,top1,top5,top10,config_hash"
-        lines = []
+        rows = []
         for name, value, cfg in points:
             mAP, cmc, _, _ = evaluate_config(cfg)
-            cells = [name, _fmt(value)] if kind == "loss-weights" else [_fmt(value)]
-            cells += [_fmt(mAP), _fmt(cmc[1]), _fmt(cmc[5]), _fmt(cmc[10]), config_hash(cfg)]
-            lines.append(",".join(cells))
+            rows.append(([name] if kind == "loss-weights" else [])
+                        + [value, mAP, cmc[1], cmc[5], cmc[10], config_hash(cfg)])
 
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join([header, *lines]) + "\n")
-    return path
+    return write_artifacts(out, {f"ablate-{kind}.csv": csv_text(header, rows)})[0]
 
 
 def run_gallery_size_sweep(cfg: ExperimentConfig):

@@ -1,6 +1,8 @@
 import dataclasses
+import errno
 import os
 import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -16,7 +18,7 @@ from psearch.config import (
     emit_config,
     parse_config,
 )
-from psearch.errors import ConfigError, DivergenceDetected
+from psearch.errors import ConfigError, DivergenceDetected, NoRelevant
 from psearch.simulator import IMAGES_PER_ITER, LOSS_CHOICES
 
 TINY = [
@@ -253,6 +255,63 @@ def test_run_completes_or_fails_cleanly(loss, images, iters, seed, pool_size, di
             assert sorted(os.listdir(out)) == ARTIFACTS
             csvs.append([open(os.path.join(out, n), "rb").read() for n in ARTIFACTS[1:]])
         assert csvs[0] == csvs[1]
+
+
+COMMANDS = {
+    "run": (["run"], ARTIFACTS),
+    "ablate": (["ablate", "input-count"], ["ablate-input-count.csv"]),
+    "sweep-gallery": (["sweep-gallery"], ["gallery-sweep.csv"]),
+}
+FAILURE_POINTS = ("train_from_config", "evaluate_retrieval", "gallery_sweep", "write_text")
+# an injected failure, and the exit code README documents for it (None: it propagates)
+FAILURES = ((DivergenceDetected("injected"), 3), (NoRelevant("injected"), 4),
+            (OSError(errno.ENOSPC, "injected"), None), (KeyboardInterrupt(), None))
+
+
+def files_in(out):
+    """Each entry of out by name: a file's bytes, or None for a directory."""
+    return {p.name: p.read_bytes() if p.is_file() else None for p in Path(out).iterdir()}
+
+
+@given(command=st.sampled_from(sorted(COMMANDS)), point=st.sampled_from(FAILURE_POINTS),
+       call=st.integers(1, 3), failure=st.sampled_from(FAILURES), earlier=st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_a_failure_at_any_point_leaves_the_earlier_set(command, point, call, failure, earlier):
+    """run, ablate and sweep-gallery, failing at the call-th call of training,
+    evaluation, the sweep or one file's write (cut half-way), exit with
+    README's code and leave the output directory as it was: empty, or
+    holding an earlier complete set, byte for byte. A command that never
+    reaches the failure writes its whole set. No temp directory remains."""
+    argv, names = COMMANDS[command]
+    exc, code = failure
+    real, calls = getattr(psearch.runner, point), []
+
+    def fails_at_call(*args):
+        calls.append(args)
+        if len(calls) == call:
+            if point == "write_text":
+                real(args[0], args[1][: len(args[1]) // 2])
+            raise exc
+        return real(*args)
+
+    with tempfile.TemporaryDirectory() as out:
+        flags = [*argv, *TINY, "--gallery-sizes", "11,20", "--out-dir", out]
+        if earlier:
+            assert main([*flags, "--seed", "1"]) == 0
+        before = files_in(out)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(psearch.runner, point, fails_at_call)
+            try:
+                rc = main([*flags, "--seed", "2"])
+            except (OSError, KeyboardInterrupt) as raised:
+                assert raised is exc
+                rc = None
+        if len(calls) >= call:
+            assert rc == code
+            assert files_in(out) == before
+        else:
+            assert rc == 0
+            assert sorted(os.listdir(out)) == sorted(names)
 
 
 class TestCliAblateAndSweep:

@@ -1,9 +1,12 @@
+import logging
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
+
+import psearch.evaluation
 
 from psearch.checks import ap_oracle, cmc_oracle
 from psearch.config import ExperimentConfig
@@ -160,12 +163,24 @@ class TestGallerySweep:
         r2 = gallery_sweep(rset, [10, 20], make_rng(9))
         assert r1 == r2
 
-    def test_nested_distractor_prefix(self):
-        # the smaller gallery must be a subset of the larger one
-        rng = make_rng(5)
-        rset = random_retrieval_set(rng, 3, 1, 15)
-        full = gallery_sweep(rset, [6, 10], make_rng(2))
-        assert len(full) == 2
+    def test_every_size_checked_before_any_is_scored(self, monkeypatch):
+        scored = []
+        monkeypatch.setattr(psearch.evaluation, "_evaluate", lambda *args: scored.append(args))
+        rset = random_retrieval_set(make_rng(1), 4, 2, 300)
+        with pytest.raises(SizeTooLarge):
+            gallery_sweep(rset, [200, 10**6], make_rng(0))
+        with pytest.raises(SizeTooLarge):
+            gallery_sweep(rset, [200, 2], make_rng(0))
+        assert scored == []
+
+    def test_orphan_queries_logged_once_per_sweep(self, caplog):
+        rset = random_retrieval_set(make_rng(2), 3, 1, 15)
+        orphan = np.array([(unit(*[1.0] * 8), 99)], dtype=rset.queries.dtype)
+        rset = RetrievalSet(np.concatenate([rset.queries, orphan]), rset.gallery)
+        with caplog.at_level(logging.INFO, logger="psearch.evaluation"):
+            gallery_sweep(rset, [5, 10, 18], make_rng(0))
+        assert [r.getMessage() for r in caplog.records] == [
+            "excluded 1 queries with no relevant gallery item"]
 
     def test_size_exceeds_gallery(self):
         rng = make_rng(1)
@@ -250,6 +265,31 @@ def test_array_evaluation_matches_brute_force_oracles(rset, seed):
         assert row_size == size
         assert abs(row_map - ref_map) <= 1e-12
         assert row_cmc == [ref_cmc[1], ref_cmc[5], ref_cmc[10]]
+
+
+@given(rset=tied_retrieval_sets(), seed=st.integers(0, 2**32 - 1), data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_sweep_rows_equal_each_size_alone_and_its_sub_gallery(rset, seed, data):
+    """Exact ties included, sizes in any order and repeated: each size's row
+    equals sweeping that size alone on the same rng seed, and equals
+    (==) evaluate_retrieval of its gathered sub-gallery; the full size is
+    evaluate_retrieval of the whole gallery."""
+    query_ids = {qid for _, qid in rset.queries}
+    kept = [i for i, (_, gid) in enumerate(rset.gallery) if gid in query_ids]
+    distractors = [i for i, (_, gid) in enumerate(rset.gallery) if gid not in query_ids]
+    assume(kept)
+    sizes = data.draw(st.lists(st.integers(len(kept), len(rset.gallery)), min_size=1, max_size=6))
+    rows = gallery_sweep(rset, sizes, make_rng(seed))
+    order = make_rng(seed).permutation(len(distractors))
+    assert [r[0] for r in rows] == sizes
+    for size, row in zip(sizes, rows, strict=True):
+        assert gallery_sweep(rset, [size], make_rng(seed)) == [row]
+        chosen = sorted(kept + [distractors[j] for j in order[: size - len(kept)]])
+        mAP, cmc = evaluate_retrieval(RetrievalSet(rset.queries, rset.gallery[chosen]))
+        assert row == (size, mAP, cmc[1], cmc[5], cmc[10])
+    mAP, cmc = evaluate_retrieval(rset)
+    assert gallery_sweep(rset, [len(rset.gallery)], make_rng(seed)) == [
+        (len(rset.gallery), mAP, cmc[1], cmc[5], cmc[10])]
 
 
 @given(rset=tied_retrieval_sets())
@@ -361,9 +401,9 @@ def test_evaluation_memory_stays_near_one_gallery_matrix():
 
 
 def test_gallery_sweep_memory_stays_near_one_gallery_matrix():
-    """Sweeping 200/1000/4000 items peaks below 1.5 gallery matrices: each
-    size indexes its own sub-gallery of records and frees it before the
-    next, so no copy of the full gallery sits next to a sub-gallery."""
+    """Sweeping 200/1000/4000 items peaks below half a gallery matrix, as
+    evaluate_retrieval does: all sizes are scored in one blocked pass over
+    the records read in place, so no sub-gallery is ever gathered."""
     peak = traced_peak_over_gallery_bytes(
         lambda rset: gallery_sweep(rset, [200, 1000, 4000], make_rng(0)))
-    assert peak <= 1.5
+    assert peak <= 0.5
