@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 from .dictionaries import HyperParams
 from .errors import ConfigError, InvalidParams
@@ -149,4 +149,5 @@ def emit_config(cfg: ExperimentConfig) -> str:
 
 
 def config_hash(cfg: ExperimentConfig) -> str:
-    return hashlib.sha256(emit_config(cfg).encode()).hexdigest()[:12]
+    """Hash of every setting but out_dir: where a run writes is not what it computes."""
+    return hashlib.sha256(emit_config(replace(cfg, out_dir="")).encode()).hexdigest()[:12]

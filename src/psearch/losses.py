@@ -79,7 +79,7 @@ def _pooled_cross_entropy(scores, labels, pooled, missing_error):
     mean over rows. Returns (loss, d loss / d scores). A label that is not
     a pooled class raises missing_error, naming the smallest such label."""
     labels = np.asarray(labels)
-    pos = np.searchsorted(pooled, labels)
+    pos = pooled.searchsorted(labels)
     missing = labels[pooled[np.minimum(pos, pooled.size - 1)] != labels]
     if missing.size:
         raise missing_error(f"sample label {missing.min()} not in pool")
@@ -147,16 +147,17 @@ def triplet_loss(features, labels, margin: float = 0.3) -> tuple[float, np.ndarr
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels)
     same = labels[:, None] == labels[None, :]
-    pos = same & (labels[:, None] >= 0) & ~np.eye(len(labels), dtype=bool)
+    pos = same & (labels[:, None] >= 0)
+    pos.flat[::len(labels) + 1] = False  # no row is its own positive
     triplets = pos[:, :, None] & ~same[:, None, :]
-    if not triplets.any():
-        return 0.0, np.zeros_like(features)
+    n = int(np.count_nonzero(triplets))
+    if not n:
+        return 0.0, np.zeros(features.shape)
     gram = features @ features.T
     hinge = margin - gram[:, :, None] + gram[:, None, :]
-    n = int(triplets.sum())
     active = triplets & (hinge > 0.0)
     # d/d a = x_n - x_p, d/d p = -x_a, d/d n = x_a, per active triplet
-    weight = active.sum(axis=1) - active.sum(axis=2)
+    weight = np.add.reduce(active, axis=1) - np.add.reduce(active, axis=2)
     grads = (weight + weight.T) @ features / n
     return math.fsum(np.maximum(hinge[triplets], 0.0)) / n, grads
 

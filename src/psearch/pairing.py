@@ -27,11 +27,12 @@ def build_subgroups(labels: np.ndarray) -> np.ndarray:
     """
     if len(labels) % 2:
         raise InvalidParams(f"images must come in pairs, got {len(labels)}")
-    flat = labels.ravel()
-    pair = np.arange(flat.size) // (2 * labels.shape[1])
-    same = (flat[:, None] == flat) & (pair[:, None] == pair) & (flat[:, None] >= 0)
-    pairs = np.argwhere(np.triu(same, 1))
-    return np.stack([pairs, pairs[:, ::-1]], axis=1).reshape(-1, 2)
+    width = 2 * labels.shape[1]
+    rows = labels.reshape(len(labels) // 2, width, 1)  # one column of labels per pair
+    # members i < j of pair t with one identity label, in (t, i, j) order
+    t, i, j = np.triu((rows == rows.transpose(0, 2, 1)) & (rows >= 0), 1).nonzero()
+    first, second = t * width + i, t * width + j
+    return np.array([first, second, second, first]).T.reshape(-1, 2)
 
 
 def select_priority_pool(
@@ -74,8 +75,9 @@ def select_priority_pool(
         member[lab] = True
         size += 1
         taken += 1
-    remaining = np.flatnonzero(~member[:num_classes])
+    remaining = (~member[:num_classes]).nonzero()[0]
     need = target - size
     if need > 0 and remaining.size > 0:
-        member[rng.choice(remaining, size=min(need, remaining.size), replace=False)] = True
-    return np.flatnonzero(member).astype(np.int64, copy=False)
+        picked = rng.choice(remaining.size, size=min(need, remaining.size), replace=False)
+        member[remaining[picked]] = True
+    return member.nonzero()[0]

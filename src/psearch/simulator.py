@@ -159,30 +159,29 @@ def sample_image_pair(
     Each other proposal is a background with probability
     background_fraction, else an unlabeled person with probability
     unlabeled_fraction, else a uniformly drawn identity. The generator is
-    read in bulk, in this order: each pair's shared identity (choice), a
-    uniform per other proposal (random), an identity per other proposal
-    (integers), one normal block of each image's camera offset row and each
-    proposal's prototype and jitter rows, then one normal block with a
-    row per background. At one pair this order must not change: every
-    2-images/iter training stream depends on it. Unlabeled persons take
+    read in bulk, in this order: each pair's shared identity (integers,
+    the draw choice makes), a uniform per other proposal (random), an
+    identity per other proposal (integers), one normal block of each
+    image's camera offset row and each proposal's prototype and jitter rows,
+    then one normal block with a row per background. This order must not
+    change: every training stream depends on it. Unlabeled persons take
     their normalised prototype row; all rows of an image share its camera
     offset. The name stays because perfbench's tracer looks it up.
     """
     if proposals_per_image < 1:
         raise InvalidParams("proposals_per_image must be >= 1")
     n, dim, images = proposals_per_image, world.latent_dim, 2 * pairs
-    shared = rng.choice(world.num_identities, size=pairs)
+    labels = np.empty((images, n), dtype=np.int64)
+    labels[0::2, 0] = labels[1::2, 0] = rng.integers(world.num_identities, size=pairs)
     u = rng.random((images, n - 1))
-    drawn = rng.integers(world.num_identities, size=(images, n - 1))
-    bg, unlabeled = world.background_fraction, world.unlabeled_fraction
-    labels = np.where(u < bg, LABEL_BACKGROUND,
-                      np.where(u < bg + unlabeled, LABEL_UNIDENTIFIED, drawn))
-    labels = np.column_stack([np.repeat(shared, 2), labels])
+    labels[:, 1:] = rng.integers(world.num_identities, size=(images, n - 1))
+    labels[:, 1:][u < world.background_fraction + world.unlabeled_fraction] = LABEL_UNIDENTIFIED
+    labels[:, 1:][u < world.background_fraction] = LABEL_BACKGROUND
     z = rng.normal(size=(images, 1 + 2 * n, dim))
-    anon = z[:, 1:n + 1]
-    protos = np.where((labels == LABEL_UNIDENTIFIED)[..., None],
-                      anon / np.linalg.norm(anon, axis=-1, keepdims=True),
-                      world.prototypes[np.maximum(labels, 0)])
+    protos = world.prototypes[np.maximum(labels, 0)]
+    unlabeled = labels == LABEL_UNIDENTIFIED
+    anon = z[:, 1:n + 1][unlabeled]
+    protos[unlabeled] = anon / np.sqrt(np.add.reduce(anon * anon, axis=-1, keepdims=True))
     obs = observe(world, protos, z[:, :1], z[:, n + 1:])
     background = labels == LABEL_BACKGROUND
     obs[background] = rng.normal(size=(np.count_nonzero(background), world.obs_dim))
@@ -299,9 +298,8 @@ def train(
     metric, identity = LOSS_TERMS[loss_choice]
 
     capacity = dict_multiplier * proposals_per_image * images_per_iter
-    # dict_size logs the person rows a dictionary holds, or would hold. The
-    # ring is allocated before any iteration's arrays, so that a repeated
-    # train() reuses the previous run's freed ring instead of a new region
+    # dict_size logs the person rows a dictionary holds, or would hold. The ring is allocated
+    # before any iteration's arrays, so a repeated train() reuses the previous run's freed ring
     dictionary = FeatureDictionary(capacity, encoder.embed_dim) if metric == "olp" else None
     stored = 0
     if identity == "c2hep":
@@ -309,81 +307,79 @@ def train(
     elif identity == "hep":
         head = ClassifierHead(world.num_identities, encoder.embed_dim)
     bg_class = world.num_identities
+    extra = {bg_class} if identity == "hep" else frozenset()
+    hard_ranked = np.zeros(0, dtype=np.int64)  # only olp ranks negatives
+    metric_val, id_val, pool_len = 0.0, 0.0, 0  # a loss term that is not chosen stays 0
     overfull = degenerate = 0
 
     log_rows: list[TrainLogRow] = []
-    for it in range(iters):
-        lr = schedule.lr_at(it, iters)
-        obs, labels = sample_image_pair(world, images_per_iter // 2, proposals_per_image, rng)
-        y = labels.ravel()
-        X, cache = encoder.encode(obs)
-        # an overflowed encoder norm gives zero rows; no loss or store may see them
-        if not (np.isfinite(X).all() and X.any(axis=1).all()):
-            raise DivergenceDetected(f"zero or non-finite features at iteration {it}")
-        person = np.flatnonzero(y != LABEL_BACKGROUND)
-        labeled = np.flatnonzero(y >= 0)
-        G = np.zeros_like(X)
+    with np.errstate(divide="ignore"):  # log(0) gives a non-finite total, reported below
+        for it in range(iters):
+            lr = schedule.lr_at(it, iters)
+            obs, labels = sample_image_pair(world, images_per_iter // 2, proposals_per_image, rng)
+            y = labels.ravel()
+            X, cache = encoder.encode(obs)
+            # finite positive norms make finite nonzero rows; an overflowed norm zeroes them
+            if not (cache[2].min() > 0.0 and cache[2].max() < np.inf):
+                raise DivergenceDetected(f"zero or non-finite features at iteration {it}")
+            person = (y != LABEL_BACKGROUND).nonzero()[0]
+            labeled = (y >= 0).nonzero()[0]
+            G = np.zeros(X.shape)
 
-        metric_val = 0.0
-        hard_ranked = np.zeros(0, dtype=np.int64)
-        if metric == "olp":
-            anchor, positive = build_subgroups(labels).T
-            res = olp_loss(X[anchor], X[positive], y[anchor], *dictionary.matrix())
-            metric_val, hard_ranked = res.loss, res.hard_ranked
-            np.add.at(G, anchor, hp.alpha * res.anchor_gradients / anchor.size)
-        elif metric is not None:
-            term = triplet_loss if metric == "triplet" else contrastive_loss
-            margin = hp.triplet_margin if metric == "triplet" else hp.contrastive_margin
-            metric_val, grads = term(X[person], y[person], margin)
-            G[person] += hp.alpha * grads
+            if metric == "olp":
+                anchor, positive = build_subgroups(labels).T
+                res = olp_loss(X[anchor], X[positive], y[anchor], *dictionary.matrix())
+                metric_val, hard_ranked = res.loss, res.hard_ranked
+                np.add.at(G, anchor, hp.alpha * res.anchor_gradients / anchor.size)
+            elif metric is not None:
+                term = triplet_loss if metric == "triplet" else contrastive_loss
+                margin = hp.triplet_margin if metric == "triplet" else hp.contrastive_margin
+                metric_val, grads = term(X[person], y[person], margin)
+                G[person] += hp.alpha * grads
 
-        id_val = 0.0
-        pool_len = 0
-        if identity is not None:
-            extra = {bg_class} if identity == "hep" else frozenset()
-            pool = select_priority_pool(
-                y[labeled], hard_ranked, hp.pool_size, hp.top_negatives,
-                world.num_identities, rng, extra_labels=extra,
-            )
-            pool_len = len(pool)
-            overfull += pool_len > hp.pool_size
+            if identity is not None:
+                pool = select_priority_pool(
+                    y[labeled], hard_ranked, hp.pool_size, hp.top_negatives,
+                    world.num_identities, rng, extra_labels=extra,
+                )
+                pool_len = len(pool)
+                overfull += pool_len > hp.pool_size
+                if identity == "c2hep":
+                    labs, first = np.unique(y[labeled], return_index=True)
+                    fresh = labeled[first[~centers.seen[labs]]]
+                    degenerate += centers.update(y[fresh], X[fresh])
+                    id_val, grads = c2hep_loss(X[labeled], y[labeled], pool, centers, hp.lam)
+                    G[labeled] += hp.beta * grads
+                elif identity == "hep":
+                    # identities, plus backgrounds as class bg_class; unlabeled persons skipped
+                    rows = (y != LABEL_UNIDENTIFIED).nonzero()[0]
+                    targets = np.where(y[rows] >= 0, y[rows], bg_class)
+                    # only pool rows of the head have a loss term: only they are scored and stepped
+                    scores, head_cache = head.scores(X[rows], pool)
+                    id_val, dscores = hep_loss(scores, targets, pool)
+                    dA, dc, dX = head.backward(head_cache, dscores)
+                    G[rows] += hp.beta * dX
+                    dA *= hp.beta  # lr * (beta * dA), stepped in place on the gathered A[pool]
+                    dA *= lr
+                    head.A[pool] = np.subtract(head_cache[1], dA, out=head_cache[1])
+                    head.c[pool] -= lr * (hp.beta * dc)
+
+            total = hp.alpha * metric_val + hp.beta * id_val
+            if not math.isfinite(total):
+                raise DivergenceDetected(f"non-finite total loss at iteration {it}")
+
+            dW, db = encoder.backward(cache, G)
+            encoder.W -= np.multiply(dW, lr, out=dW)
+            encoder.b -= lr * db
+
+            # store after loss computation: current-iteration features never self-match
+            if dictionary is not None:
+                dictionary.push(X[person], y[person])
+            stored = min(stored + person.size, capacity)
             if identity == "c2hep":
-                labs, first = np.unique(y[labeled], return_index=True)
-                fresh = labeled[first[~centers.seen[labs]]]
-                degenerate += centers.update(y[fresh], X[fresh])
-                id_val, grads = c2hep_loss(X[labeled], y[labeled], pool, centers, hp.lam)
-                G[labeled] += hp.beta * grads
-            elif identity == "hep":
-                # identities, plus backgrounds as class bg_class; unlabeled persons skipped
-                rows = np.flatnonzero(y != LABEL_UNIDENTIFIED)
-                targets = np.where(y[rows] >= 0, y[rows], bg_class)
-                # only pool rows of the head have a loss term, so only they are scored and stepped
-                scores, head_cache = head.scores(X[rows], pool)
-                id_val, dscores = hep_loss(scores, targets, pool)
-                dA, dc, dX = head.backward(head_cache, dscores)
-                G[rows] += hp.beta * dX
-                head.A[pool] = head_cache[1] - lr * (hp.beta * dA)
-                head.c[pool] -= lr * (hp.beta * dc)
+                degenerate += centers.update(y[labeled], X[labeled])
 
-        total = hp.alpha * metric_val + hp.beta * id_val
-        if not np.isfinite(total):
-            raise DivergenceDetected(f"non-finite total loss at iteration {it}")
-
-        dW, db = encoder.backward(cache, G)
-        encoder.W -= lr * dW
-        encoder.b -= lr * db
-
-        # store after loss computation: current-iteration features never self-match
-        if dictionary is not None:
-            dictionary.push(X[person], y[person])
-        stored = min(stored + person.size, capacity)
-        if identity == "c2hep":
-            degenerate += centers.update(y[labeled], X[labeled])
-
-        log_rows.append(TrainLogRow(
-            iteration=it, olp=metric_val, id_loss=id_val, total=total,
-            dict_size=stored, pool_size=pool_len, lr=lr,
-        ))
+            log_rows.append(TrainLogRow(it, metric_val, id_val, total, stored, pool_len, lr))
     if overfull:
         log.warning("priority pool overfull in %d of %d iterations: ground truth "
                     "alone exceeded pool_size %d", overfull, iters, hp.pool_size)

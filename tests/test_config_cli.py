@@ -2,6 +2,7 @@ import dataclasses
 import errno
 import os
 import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
@@ -87,6 +88,8 @@ class TestConfig:
         b = dataclasses.replace(a, seed=1)
         assert config_hash(a) == config_hash(ExperimentConfig())
         assert config_hash(a) != config_hash(b)
+        # where a run writes is not part of what it is
+        assert config_hash(dataclasses.replace(a, out_dir="a")) == config_hash(a)
 
     def test_every_key_has_cli_spelling(self):
         keys = config_keys()
@@ -183,6 +186,13 @@ class TestCliRun:
         ["--triplet-margin", "2.5"],
         ["--contrastive-margin", "-3"],
         ["--contrastive-margin", "1.5"],
+        ["--seed", "-1"],
+        ["--proposals-per-image", "0"],
+        ["--iters", "0"],
+        ["--dict-multiplier", "0"],
+        ["--lr-drop-frac", "1.5"],
+        ["--latent-dim", "1"],
+        ["--sigma-noise", "-1"],
     ])
     def test_bad_retrieval_or_world_settings_fail_before_training(self, tmp_path, capsys,
                                                                   flags):
@@ -218,6 +228,18 @@ class TestCliRun:
         rc = main(["run", *TINY, "--lr-initial", "1e308", "--out-dir", str(tmp_path)])
         assert rc == 3
         assert "zero or non-finite features" in capsys.readouterr().err
+
+    def test_non_finite_total_exits_3_with_only_the_divergence_line(self, tmp_path, capsys):
+        # probabilities underflow to 0 after the first step; their log is -inf
+        out = tmp_path / "out"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(["run", "--iters", "30", "--loss-choice", "triplet+hep",
+                       "--lr-initial", "1e150", "--out-dir", str(out)])
+        assert rc == 3
+        assert capsys.readouterr().err == "training diverged: non-finite total loss at iteration 1\n"
+        assert [str(w.message) for w in caught] == []
+        assert os.listdir(out) == []
 
 
 ARTIFACTS = ["config-echo.txt", "eval.csv", "train.csv"]
@@ -327,6 +349,12 @@ class TestCliAblateAndSweep:
         # each row carries the hash of its own configuration
         hashes = {row.split(",")[-1] for row in lines[1:]}
         assert len(hashes) == 3
+
+    def test_ablation_csv_does_not_depend_on_the_out_dir(self, tmp_path):
+        for name in ("a", "b"):
+            assert main(["ablate", "input-count", *TINY, "--out-dir", str(tmp_path / name)]) == 0
+        csv = "ablate-input-count.csv"
+        assert (tmp_path / "a" / csv).read_bytes() == (tmp_path / "b" / csv).read_bytes()
 
     def test_divergence_at_a_later_point_writes_no_file(self, tmp_path, monkeypatch):
         evaluate = psearch.runner.evaluate_config

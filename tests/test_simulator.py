@@ -95,6 +95,49 @@ def per_pair_draw(world, proposals_per_image, rng):
     return np.concatenate([obs[0], obs[1]]), labels
 
 
+def choice_and_where_draw(world, pairs, proposals_per_image, rng):
+    """Reference: the bulk sampler's body before its labels were filled in
+    place (choice, np.where, column_stack and np.linalg.norm)."""
+    n, dim, images = proposals_per_image, world.latent_dim, 2 * pairs
+    shared = rng.choice(world.num_identities, size=pairs)
+    u = rng.random((images, n - 1))
+    drawn = rng.integers(world.num_identities, size=(images, n - 1))
+    bg, unlabeled = world.background_fraction, world.unlabeled_fraction
+    labels = np.where(u < bg, LABEL_BACKGROUND,
+                      np.where(u < bg + unlabeled, LABEL_UNIDENTIFIED, drawn))
+    labels = np.column_stack([np.repeat(shared, 2), labels])
+    z = rng.normal(size=(images, 1 + 2 * n, dim))
+    anon = z[:, 1:n + 1]
+    protos = np.where((labels == LABEL_UNIDENTIFIED)[..., None],
+                      anon / np.linalg.norm(anon, axis=-1, keepdims=True),
+                      world.prototypes[np.maximum(labels, 0)])
+    obs = observe(world, protos, z[:, :1], z[:, n + 1:])
+    background = labels == LABEL_BACKGROUND
+    obs[background] = rng.normal(size=(np.count_nonzero(background), world.obs_dim))
+    return obs.reshape(-1, world.obs_dim), labels
+
+
+@given(identities=st.integers(2, 60), latent=st.integers(2, 8),
+       background=st.sampled_from((0.0, 0.3, 0.6, 1.0)),
+       unlabeled=st.sampled_from((0.0, 0.2, 0.4, 1.0)),
+       pairs=st.integers(1, 4), proposals=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_sampler_reads_and_returns_what_choice_and_where_did(identities, latent, background,
+                                                             unlabeled, pairs, proposals, seed):
+    """Equal observation and label bytes and dtypes, and the generator in
+    the same state afterwards, so every training stream is unchanged."""
+    w = generate_world(identities, latent_dim=latent, obs_dim=2 * latent + 3,
+                       unlabeled_fraction=unlabeled, background_fraction=background,
+                       seed=seed % 5)
+    rng, ref_rng = make_rng(seed), make_rng(seed)
+    for _ in range(3):
+        got = sample_image_pair(w, pairs, proposals, rng)
+        want = choice_and_where_draw(w, pairs, proposals, ref_rng)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
 class TestSampleImagePair:
     def test_shared_identity_and_counts(self):
         w = generate_world(20, seed=4)
