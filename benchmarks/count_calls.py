@@ -1,14 +1,15 @@
 """Python-level calls per training iteration, counted with cProfile.
 
 Trains each configuration of the acceptance BASE world (tests/test_acceptance.py)
-under cProfile and prints the calls the profiler records inside train(),
-Python functions and the builtins and numpy functions they call, divided by
-the iteration count. Unlike a timing, the count does not depend on machine
-load, so two versions of the program can be compared in one run. It omits
-work done inside native code and says nothing about time.
+three times with runner.train_from_config and prints the calls the profiler
+records inside its train() call, Python functions and the builtins and numpy
+functions they call, divided by the iteration count. Unlike a timing, the
+count does not depend on machine load, so two versions of the program can be
+compared in one run. It omits work done inside native code and says nothing
+about time.
 
-    python benchmarks/count_calls.py                  # all 12 BASE configs, 3 reps
-    python benchmarks/count_calls.py --config triplet+hep@2 --reps 3
+    python benchmarks/count_calls.py                          # all 12 BASE configs
+    python benchmarks/count_calls.py --config triplet+hep@2   # repeatable
 
 The package is imported from this checkout's src/. Each line of output is
 one JSON object: the config, the calls per iteration of every rep, and
@@ -19,59 +20,48 @@ from __future__ import annotations
 
 import argparse
 import cProfile
+import dataclasses
 import json
 import pstats
 import sys
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
-from psearch.config import ExperimentConfig, hyperparams_from_config  # noqa: E402
-from psearch.numerics import make_rng  # noqa: E402
-from psearch.simulator import (  # noqa: E402
-    LOSS_CHOICES,
-    Schedule,
-    ToyEncoder,
-    generate_world,
-    train,
-)
+from psearch import runner  # noqa: E402
+from psearch.simulator import LOSS_CHOICES  # noqa: E402
+from test_acceptance import BASE  # noqa: E402
 
-# the acceptance BASE world; lr as criterion 5 trains it
-BASE = ExperimentConfig(
-    seed=1, num_identities=200, latent_dim=32, obs_dim=128, sigma_view=2.0,
-    sigma_noise=0.5, unlabeled_fraction=0.4, background_fraction=0.6,
-    proposals_per_image=4, iters=2000, lr_initial=0.08, lr_final=0.008,
-)
 CONFIGS = [f"{loss}@{images}" for loss in LOSS_CHOICES for images in (2, 8)]
+REPS = 3
 
 
-def calls_per_iter(loss_choice: str, images: int, iters: int) -> float:
-    """cProfile's call count inside one train() run, per iteration."""
-    cfg = BASE
-    world = generate_world(cfg.num_identities, cfg.latent_dim, cfg.obs_dim, cfg.sigma_view,
-                           cfg.sigma_noise, cfg.unlabeled_fraction, cfg.background_fraction,
-                           seed=cfg.seed)
-    encoder = ToyEncoder(cfg.obs_dim, seed=cfg.seed)
-    schedule = Schedule(cfg.lr_initial, cfg.lr_final, cfg.lr_drop_frac)
-    args = (world, encoder, hyperparams_from_config(cfg), schedule, loss_choice, images,
-            cfg.proposals_per_image, iters, make_rng(cfg.seed))
+def calls_per_iter(cfg) -> float:
+    """cProfile's call count inside the train() call of
+    runner.train_from_config(cfg), per iteration; world and encoder
+    construction are not profiled."""
     profile = cProfile.Profile()
-    profile.runcall(train, *args, dict_multiplier=cfg.dict_multiplier)
+    train = runner.train
+    runner.train = lambda *args, **kwargs: profile.runcall(train, *args, **kwargs)
+    try:
+        runner.train_from_config(cfg)
+    finally:
+        runner.train = train
     # the profiled train() call itself is not an iteration's call
-    return (pstats.Stats(profile).total_calls - 1) / iters
+    return (pstats.Stats(profile).total_calls - 1) / cfg.iters
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--config", action="append", choices=CONFIGS,
                         help="loss@images_per_iter; repeatable (default: all)")
-    parser.add_argument("--iters", type=int, default=BASE.iters)
-    parser.add_argument("--reps", type=int, default=3)
     args = parser.parse_args(argv)
     for name in args.config or CONFIGS:
         loss, images = name.split("@")
-        counts = [calls_per_iter(loss, int(images), args.iters) for _ in range(args.reps)]
-        print(json.dumps({"config": name, "iters": args.iters, "calls_per_iter": counts,
+        cfg = dataclasses.replace(BASE, loss_choice=loss, images_per_iter=int(images))
+        counts = [calls_per_iter(cfg) for _ in range(REPS)]
+        print(json.dumps({"config": name, "iters": cfg.iters, "calls_per_iter": counts,
                           "repeats": len(set(counts)) == 1}), flush=True)
     return 0
 

@@ -141,11 +141,7 @@ def apply_override(cfg: ExperimentConfig, key: str, raw: str) -> None:
 
 
 def emit_config(cfg: ExperimentConfig) -> str:
-    lines = []
-    for name in _FIELDS:
-        key = _ATTR_TO_KEY.get(name, name)
-        lines.append(f"{key} = {getattr(cfg, name)}")
-    return "\n".join(lines) + "\n"
+    return "".join(f"{key} = {getattr(cfg, name)}\n" for key, name in zip(config_keys(), _FIELDS))
 
 
 def config_hash(cfg: ExperimentConfig) -> str:

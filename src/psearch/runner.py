@@ -181,10 +181,7 @@ def _sweep_points(kind: str, base: ExperimentConfig):
                 for m in (20, 40, 60)]
     if kind == "priority-T":
         c = base.num_identities
-        values = []
-        for t in (max(2, c // 10), min(base.pool_size, c), max(2, c // 2), c):
-            if t not in values:
-                values.append(t)
+        values = {max(2, c // 10), min(base.pool_size, c), max(2, c // 2), c}
         return [("pool_size", t, replace(base, pool_size=t)) for t in sorted(values)]
     if kind == "loss-weights":
         grid = (0.25, 0.5, 0.75, 1.0, 1.25, 1.5)

@@ -298,8 +298,9 @@ def train(
     metric, identity = LOSS_TERMS[loss_choice]
 
     capacity = dict_multiplier * proposals_per_image * images_per_iter
-    # dict_size logs the person rows a dictionary holds, or would hold. The ring is allocated
-    # before any iteration's arrays, so a repeated train() reuses the previous run's freed ring
+    # dict_size logs the person rows a dictionary holds, or would hold. The
+    # ring is allocated before any iteration's arrays, so that a repeated
+    # train() reuses the previous run's freed ring instead of a new region
     dictionary = FeatureDictionary(capacity, encoder.embed_dim) if metric == "olp" else None
     stored = 0
     if identity == "c2hep":
@@ -354,7 +355,8 @@ def train(
                     # identities, plus backgrounds as class bg_class; unlabeled persons skipped
                     rows = (y != LABEL_UNIDENTIFIED).nonzero()[0]
                     targets = np.where(y[rows] >= 0, y[rows], bg_class)
-                    # only pool rows of the head have a loss term: only they are scored and stepped
+                    # only pool rows of the head have a loss term, so only they are
+                    # scored and stepped
                     scores, head_cache = head.scores(X[rows], pool)
                     id_val, dscores = hep_loss(scores, targets, pool)
                     dA, dc, dX = head.backward(head_cache, dscores)
@@ -379,7 +381,10 @@ def train(
             if identity == "c2hep":
                 degenerate += centers.update(y[labeled], X[labeled])
 
-            log_rows.append(TrainLogRow(it, metric_val, id_val, total, stored, pool_len, lr))
+            log_rows.append(TrainLogRow(
+                iteration=it, olp=metric_val, id_loss=id_val, total=total,
+                dict_size=stored, pool_size=pool_len, lr=lr,
+            ))
     if overfull:
         log.warning("priority pool overfull in %d of %d iterations: ground truth "
                     "alone exceeded pool_size %d", overfull, iters, hp.pool_size)

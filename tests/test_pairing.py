@@ -170,61 +170,17 @@ def set_arithmetic_pool(gt_labels, hard_negative_labels, pool_size, top_negative
     return np.array(sorted(pool), dtype=np.int64)
 
 
-@given(seed=st.integers(0, 2**32 - 1), num_classes=st.integers(1, 30),
-       data=st.data(), pool_size=st.integers(1, 40), top_negatives=st.integers(0, 12),
-       with_extra=st.booleans())
-@settings(max_examples=200, deadline=None)
-def test_pool_matches_set_arithmetic(seed, num_classes, data, pool_size, top_negatives, with_extra):
-    """Equal pools, and the generator left in the same state, so every
-    later draw of a training run is unchanged."""
-    gt = data.draw(st.lists(st.integers(0, num_classes - 1), max_size=8))
-    hard = data.draw(st.lists(st.integers(-1, num_classes - 1), max_size=20))
-    extra = {num_classes} if with_extra else frozenset()
-    rng, ref_rng = make_rng(seed), make_rng(seed)
-    pool = select_priority_pool(np.array(gt, dtype=np.int64), np.array(hard, dtype=np.int64),
-                                pool_size, top_negatives, num_classes, rng, extra_labels=extra)
-    want = set_arithmetic_pool(gt, hard, pool_size, top_negatives, num_classes, ref_rng, extra)
-    assert pool.dtype == np.int64 and pool.tolist() == want.tolist()
-    assert rng.bit_generator.state == ref_rng.bit_generator.state
-
-
-def mask_pool(gt_labels, hard_negative_labels, pool_size, top_negatives, num_classes, rng,
-              extra_labels=frozenset()):
-    """Reference: select_priority_pool's body before the fill drew indices
-    into the remaining classes (choice over the class array, flatnonzero)."""
-    gt = np.fromiter(gt_labels, dtype=np.int64)
-    member = np.zeros(max(num_classes, max(extra_labels, default=-1) + 1), dtype=bool)
-    member[gt] = True
-    member[list(extra_labels)] = True
-    size = int(np.count_nonzero(member))
-    target = min(pool_size, num_classes + len(extra_labels))
-    taken = 0
-    for lab in hard_negative_labels:
-        if taken >= top_negatives or size >= target:
-            break
-        if lab < 0 or (lab < member.size and member[lab]):
-            continue
-        member[lab] = True
-        size += 1
-        taken += 1
-    remaining = np.flatnonzero(~member[:num_classes])
-    need = target - size
-    if need > 0 and remaining.size > 0:
-        member[rng.choice(remaining, size=min(need, remaining.size), replace=False)] = True
-    return np.flatnonzero(member).astype(np.int64, copy=False)
-
-
 @given(seed=st.integers(0, 2**32 - 1), num_classes=st.integers(1, 250), data=st.data(),
        pool_size=st.integers(1, 120), top_negatives=st.integers(0, 12),
        extra=st.sampled_from(("none", "background", "past")),
        kind=st.sampled_from((set, list, np.array)))
 @settings(max_examples=200, deadline=None)
-def test_pool_reads_and_returns_what_the_class_array_choice_did(seed, num_classes, data,
-                                                                 pool_size, top_negatives,
-                                                                 extra, kind):
-    """Equal pool bytes and dtype and the generator in the same state, for
-    ground truth given as a set, a list or an array, and hard rankings with
-    -1 entries and repeated labels."""
+def test_pool_matches_set_arithmetic(seed, num_classes, data, pool_size, top_negatives, extra,
+                                     kind):
+    """Equal pool bytes and dtype, and the generator left in the same
+    state, so every later draw of a training run is unchanged; for ground
+    truth given as a set, a list or an array, extra labels at or past the
+    background class, and hard rankings with -1 entries and repeats."""
     gt = data.draw(st.lists(st.integers(0, num_classes - 1), max_size=10))
     hard = np.array(data.draw(st.lists(st.integers(-1, num_classes - 1), max_size=40)),
                     dtype=np.int64)
@@ -233,7 +189,7 @@ def test_pool_reads_and_returns_what_the_class_array_choice_did(seed, num_classe
     rng, ref_rng = make_rng(seed), make_rng(seed)
     pool = select_priority_pool(kind(gt), hard, pool_size, top_negatives, num_classes, rng,
                                 extra_labels=extra)
-    want = mask_pool(kind(gt), hard, pool_size, top_negatives, num_classes, ref_rng,
-                     extra_labels=extra)
+    want = set_arithmetic_pool(kind(gt), hard, pool_size, top_negatives, num_classes, ref_rng,
+                               extra)
     assert pool.dtype == want.dtype and pool.tobytes() == want.tobytes()
     assert rng.bit_generator.state == ref_rng.bit_generator.state
