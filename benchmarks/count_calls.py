@@ -1,4 +1,5 @@
-"""Python-level calls per training iteration, counted with cProfile.
+"""Python-level calls per training iteration, counted with cProfile, and a
+digest of what training computed.
 
 Trains each configuration of the acceptance BASE world (tests/test_acceptance.py)
 three times with runner.train_from_config and prints the calls the profiler
@@ -8,12 +9,18 @@ count does not depend on machine load, so two versions of the program can be
 compared in one run. It omits work done inside native code and says nothing
 about time.
 
+Each rep also gives the sha256 of the repr of its full-precision train rows
+and the final encoder W and b. Equal digests from two checkouts show that
+training is bit-identical, which train.csv's 10 digits cannot; the BLAS
+library may move last bits with its thread count, so run both sides with
+OPENBLAS_NUM_THREADS=1.
+
     python benchmarks/count_calls.py                          # all 12 BASE configs
     python benchmarks/count_calls.py --config triplet+hep@2   # repeatable
 
 The package is imported from this checkout's src/. Each line of output is
-one JSON object: the config, the calls per iteration of every rep, and
-whether the reps repeat exactly.
+one JSON object: the config, the calls per iteration and the digest of every
+rep, and whether the reps repeat exactly, counts and digests both.
 """
 
 from __future__ import annotations
@@ -21,6 +28,7 @@ from __future__ import annotations
 import argparse
 import cProfile
 import dataclasses
+import hashlib
 import json
 import pstats
 import sys
@@ -37,19 +45,22 @@ CONFIGS = [f"{loss}@{images}" for loss in LOSS_CHOICES for images in (2, 8)]
 REPS = 3
 
 
-def calls_per_iter(cfg) -> float:
+def profile_train(cfg) -> tuple[float, str]:
     """cProfile's call count inside the train() call of
-    runner.train_from_config(cfg), per iteration; world and encoder
-    construction are not profiled."""
+    runner.train_from_config(cfg), per iteration (world and encoder
+    construction are not profiled), and the sha256 of the repr of the
+    train rows and the final W and b."""
     profile = cProfile.Profile()
     train = runner.train
     runner.train = lambda *args, **kwargs: profile.runcall(train, *args, **kwargs)
     try:
-        runner.train_from_config(cfg)
+        _, encoder, rows = runner.train_from_config(cfg)
     finally:
         runner.train = train
+    trained = repr((rows, encoder.W.tolist(), encoder.b.tolist()))
     # the profiled train() call itself is not an iteration's call
-    return (pstats.Stats(profile).total_calls - 1) / cfg.iters
+    return ((pstats.Stats(profile).total_calls - 1) / cfg.iters,
+            hashlib.sha256(trained.encode()).hexdigest())
 
 
 def main(argv=None) -> int:
@@ -60,9 +71,10 @@ def main(argv=None) -> int:
     for name in args.config or CONFIGS:
         loss, images = name.split("@")
         cfg = dataclasses.replace(BASE, loss_choice=loss, images_per_iter=int(images))
-        counts = [calls_per_iter(cfg) for _ in range(REPS)]
+        counts, digests = zip(*(profile_train(cfg) for _ in range(REPS)))
         print(json.dumps({"config": name, "iters": cfg.iters, "calls_per_iter": counts,
-                          "repeats": len(set(counts)) == 1}), flush=True)
+                          "digests": digests,
+                          "repeats": len(set(counts)) == len(set(digests)) == 1}), flush=True)
     return 0
 
 

@@ -307,6 +307,4 @@ SUITES = {
 
 
 def run_suite(suite: str) -> list[CheckResult]:
-    if suite not in SUITES:
-        raise ValueError(f"unknown check suite {suite!r}")
     return SUITES[suite]()

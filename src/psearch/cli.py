@@ -114,7 +114,6 @@ def main(argv=None) -> int:
     except PSearchError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    return 0
 
 
 if __name__ == "__main__":

@@ -10,7 +10,7 @@ from dataclasses import dataclass, fields, replace
 
 from .dictionaries import HyperParams
 from .errors import ConfigError, InvalidParams
-from .simulator import IMAGES_PER_ITER, LOSS_CHOICES, check_world
+from .simulator import check_training, check_world
 
 
 @dataclass
@@ -50,24 +50,16 @@ class ExperimentConfig(HyperParams):
         try:
             check_world(self.num_identities, self.latent_dim, self.obs_dim, self.sigma_view,
                         self.sigma_noise, self.unlabeled_fraction, self.background_fraction)
+            check_training(self.loss_choice, self.images_per_iter, self.proposals_per_image,
+                           self.dict_multiplier)
         except InvalidParams as exc:
             raise ConfigError(str(exc)) from exc
-        if self.images_per_iter not in IMAGES_PER_ITER:
-            raise ConfigError(f"images_per_iter: must be one of {IMAGES_PER_ITER}")
-        if self.proposals_per_image < 1:
-            raise ConfigError("proposals_per_image: must be >= 1")
         if self.iters < 1:
             raise ConfigError("iters: must be >= 1")
         try:
             hyperparams_from_config(self)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        if self.dict_multiplier < 1:
-            raise ConfigError("dict_multiplier: must be >= 1")
-        if self.loss_choice not in LOSS_CHOICES:
-            raise ConfigError(
-                f"loss_choice: {self.loss_choice!r} not in {LOSS_CHOICES}"
-            )
         if self.lr_initial < 0 or self.lr_final < 0:
             raise ConfigError("lr_initial, lr_final: must be >= 0")
         if not (0.0 <= self.lr_drop_frac <= 1.0):

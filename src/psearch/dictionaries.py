@@ -63,8 +63,6 @@ class FeatureDictionary:
 
     def __init__(self, capacity: int, dim: int):
         """The buffer of capacity rows of width dim is allocated now."""
-        if capacity < 1:
-            raise ValueError("capacity must be positive")
         self.capacity = capacity
         self._feats = np.empty((2 * capacity, dim))
         self._labels = np.empty(2 * capacity, dtype=np.int64)
@@ -116,8 +114,6 @@ class ClassCenterTable:
     that have a center."""
 
     def __init__(self, num_classes: int, dim: int, phi: float = 0.5):
-        if not (0.0 < phi < 1.0):
-            raise ValueError("phi must be in (0, 1)")
         self.num_classes = num_classes
         self.phi = phi
         self.centers = np.zeros((num_classes, dim))

@@ -139,8 +139,6 @@ def gallery_sweep(rset: RetrievalSet, sizes, rng: np.random.Generator):
             raise SizeTooLarge(f"size {size} exceeds gallery {len(rset.gallery)}")
         if size < n_kept:
             raise SizeTooLarge(f"size {size} cannot hold the {n_kept} relevant items")
-    if not sizes:
-        return []
     depth = np.zeros(len(is_kept), dtype=np.int64)
     depth[np.flatnonzero(~is_kept)[order]] = np.arange(1, len(order) + 1)
     within = (depth[:, None] <= np.subtract(sizes, n_kept)).astype(np.float64)

@@ -49,7 +49,8 @@ def select_priority_pool(
 
     hard_negative_labels must be ranked by descending cosine similarity
     to their anchors; only its head is read. Labels -1 in the ranking are
-    skipped. extra_labels (non-negative, e.g. a background class index)
+    skipped; every other label must lie in [0, num_classes), as olp_loss's
+    ranking of dictionary labels does. extra_labels (non-negative, e.g. a background class index)
     are always included. If ground truth alone exceeds pool_size the pool keeps
     everything and may exceed the target; train() counts those
     iterations and logs them once per run.
@@ -70,8 +71,6 @@ def select_priority_pool(
             break
         if lab < 0 or (lab < member.size and member[lab]):
             continue
-        if lab >= num_classes:
-            raise InvalidParams(f"hard-negative label {lab} outside [0, {num_classes})")
         member[lab] = True
         size += 1
         taken += 1

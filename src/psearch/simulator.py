@@ -62,7 +62,6 @@ class SyntheticWorld:
     sigma_noise: float
     unlabeled_fraction: float
     background_fraction: float
-    seed: int
 
 
 def check_world(num_identities: int, latent_dim: int, obs_dim: int, sigma_view: float,
@@ -79,6 +78,19 @@ def check_world(num_identities: int, latent_dim: int, obs_dim: int, sigma_view: 
         raise InvalidParams("sigma_view, sigma_noise: must be >= 0")
     if not (0 <= unlabeled_fraction <= 1 and 0 <= background_fraction <= 1):
         raise InvalidParams("unlabeled_fraction, background_fraction: must be in [0, 1]")
+
+
+def check_training(loss_choice: str, images_per_iter: int, proposals_per_image: int,
+                   dict_multiplier: int) -> None:
+    """The training settings train() runs with; InvalidParams otherwise."""
+    if images_per_iter not in IMAGES_PER_ITER:
+        raise InvalidParams(f"images_per_iter: must be one of {IMAGES_PER_ITER}")
+    if proposals_per_image < 1:
+        raise InvalidParams("proposals_per_image: must be >= 1")
+    if dict_multiplier < 1:
+        raise InvalidParams("dict_multiplier: must be >= 1")
+    if loss_choice not in LOSS_TERMS:
+        raise InvalidParams(f"loss_choice: {loss_choice!r} not in {LOSS_CHOICES}")
 
 
 def generate_world(
@@ -122,7 +134,6 @@ def generate_world(
         sigma_noise=sigma_noise,
         unlabeled_fraction=unlabeled_fraction,
         background_fraction=background_fraction,
-        seed=seed,
     )
 
 
@@ -291,10 +302,7 @@ def train(
     iteration has at least two subgroups, labeled rows and hep rows per
     pair, and no loss term is ever empty.
     """
-    if loss_choice not in LOSS_TERMS:
-        raise InvalidParams(f"unknown loss choice {loss_choice!r}")
-    if images_per_iter not in IMAGES_PER_ITER:
-        raise InvalidParams(f"images_per_iter must be one of {IMAGES_PER_ITER}")
+    check_training(loss_choice, images_per_iter, proposals_per_image, dict_multiplier)
     metric, identity = LOSS_TERMS[loss_choice]
 
     capacity = dict_multiplier * proposals_per_image * images_per_iter

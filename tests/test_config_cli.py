@@ -154,6 +154,19 @@ class TestCliRun:
                    "--out-dir", str(tmp_path)])
         assert rc == 2
 
+    @pytest.mark.parametrize("flags,message", [
+        (["--loss-choice", "magnet"], f"loss_choice: 'magnet' not in {LOSS_CHOICES}"),
+        (["--images-per-iter", "3"], f"images_per_iter: must be one of {IMAGES_PER_ITER}"),
+        (["--dict-multiplier", "0"], "dict_multiplier: must be >= 1"),
+        (["--proposals-per-image", "0"], "proposals_per_image: must be >= 1"),
+        (["--phi", "1.5"], "phi must be in (0, 1)"),
+        (["--iters", "0"], "iters: must be >= 1"),
+    ])
+    def test_training_setting_error_line(self, tmp_path, capsys, flags, message):
+        rc = main(["run", *TINY, *flags, "--out-dir", str(tmp_path / "out")])
+        assert rc == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+
     def test_missing_config_file(self, capsys):
         rc = main(["run", "--config", "/nonexistent/x.cfg"])
         assert rc == 2

@@ -162,6 +162,7 @@ class TestGallerySweep:
         r1 = gallery_sweep(rset, [10, 20], make_rng(9))
         r2 = gallery_sweep(rset, [10, 20], make_rng(9))
         assert r1 == r2
+        assert gallery_sweep(rset, [], make_rng(9)) == []
 
     def test_every_size_checked_before_any_is_scored(self, monkeypatch):
         scored = []

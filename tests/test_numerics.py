@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from psearch.errors import (
+    DimensionMismatch,
     EmptyInput,
     NonFiniteFunction,
     ZeroVector,
@@ -33,6 +34,12 @@ class TestL2Normalize:
     def test_empty(self):
         with pytest.raises(EmptyInput):
             l2_normalize([])
+
+    @pytest.mark.parametrize("v", [[np.nan, 1.0], [np.inf, 1.0], [3.0, -np.inf]])
+    def test_non_finite_rejected(self, v):
+        # a NaN norm passes the zero-norm test, and v / inf is not a unit vector
+        with pytest.raises(NonFiniteFunction):
+            l2_normalize(v)
 
     @given(finite_vecs)
     def test_unit_norm_and_idempotent(self, v):
@@ -97,6 +104,21 @@ class TestCheckGradient:
         with pytest.raises(NonFiniteFunction):
             check_gradient(lambda x: float("nan"), np.array([1.0]),
                            np.array([0.0]), h=1e-5)
+
+    @pytest.mark.parametrize("grad", [[2.0, 4.0, 9.0], [[2.0], [4.0]]])
+    def test_shape_mismatch(self, grad):
+        # the loop reads grad.flat over x's size: a longer or reshaped gradient
+        # would be compared on its leading entries and could pass
+        with pytest.raises(DimensionMismatch):
+            check_gradient(lambda x: float(x @ x), np.array([1.0, 2.0]),
+                           np.array(grad), h=1e-5)
+
+    @pytest.mark.parametrize("h", [1e-8, 1e-3])
+    def test_step_outside_range(self, h):
+        # outside [1e-7, 1e-4] rounding or truncation error swamps the difference
+        with pytest.raises(ValueError, match="outside"):
+            check_gradient(lambda x: float(x @ x), np.array([1.0, 2.0]),
+                           np.array([2.0, 4.0]), h=h)
 
 
 def test_rng_reproducible():

@@ -54,6 +54,21 @@ class TestWorld:
         np.fill_diagonal(gram, 0.0)
         assert gram.max() < 1.0 - 1e-12
 
+    def test_clashing_prototypes_are_redrawn(self):
+        # at latent_dim 2, seed 16's first draw holds a pair of the 500 prototypes
+        # at cosine >= 1 - 1e-12; generate_world re-draws those two rows
+        first = make_rng(16).normal(size=(500, 2))
+        first /= np.linalg.norm(first, axis=1, keepdims=True)
+        gram = first @ first.T
+        np.fill_diagonal(gram, 0.0)
+        assert gram.max() >= 1.0 - 1e-12
+        w = generate_world(500, latent_dim=2, obs_dim=4, seed=16)
+        assert np.count_nonzero((w.prototypes != first).any(axis=1)) == 2
+        assert np.allclose(np.linalg.norm(w.prototypes, axis=1), 1.0, atol=1e-12)
+        gram = w.prototypes @ w.prototypes.T
+        np.fill_diagonal(gram, 0.0)
+        assert gram.max() < 1.0 - 1e-12
+
     def test_subspaces_orthonormal_and_disjoint(self):
         w = generate_world(5, latent_dim=8, obs_dim=32, seed=1)
         assert np.allclose(w.lift_map.T @ w.lift_map, np.eye(8), atol=1e-10)
@@ -350,15 +365,28 @@ class TestTrain:
 
     def test_invalid_loss_choice(self):
         w = self.small_world()
-        with pytest.raises(InvalidParams):
+        with pytest.raises(InvalidParams, match="^loss_choice: "):
             train(w, ToyEncoder(16, 8), HyperParams(), Schedule(),
                   "softmax", 2, 4, 1, make_rng(0))
 
     def test_invalid_images_per_iter(self):
         w = self.small_world()
-        with pytest.raises(InvalidParams):
+        with pytest.raises(InvalidParams, match="^images_per_iter: "):
             train(w, ToyEncoder(16, 8), HyperParams(), Schedule(),
                   "olp", 3, 4, 1, make_rng(0))
+
+    @pytest.mark.parametrize("loss,proposals,multiplier,key", [
+        ("olp", 0, 40, "proposals_per_image"),
+        ("triplet+hep", 4, 0, "dict_multiplier"),
+    ])
+    def test_training_settings_checked_on_entry(self, loss, proposals, multiplier, key):
+        # the rules ExperimentConfig.validate applies, before the generator is read
+        rng = make_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(InvalidParams, match=f"^{key}: "):
+            train(self.small_world(), ToyEncoder(16, 8), HyperParams(), Schedule(),
+                  loss, 2, proposals, 1, rng, dict_multiplier=multiplier)
+        assert rng.bit_generator.state == state
 
     def test_zero_learning_rate_is_noop(self):
         w = self.small_world()
