@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dictionaries import ClassCenterTable, FeatureDictionary
-from .evaluation import ap_from_hit_ranks, average_precision, cmc_topk, hit_ranks
+from .evaluation import ap_from_hit_ranks, average_precision, cmc_topk, hit_table
 from .losses import c2hep_loss, olp_loss
 from .numerics import check_gradient, l2_normalize, make_rng, softmax
 from .pairing import select_priority_pool
@@ -191,7 +191,7 @@ def run_oracle_checks(max_gallery: int = 6) -> CheckResult:
             relevant = {i for i, rel in enumerate(pattern) if rel}
             if not relevant:
                 continue
-            hits = hit_ranks(keys[None], np.array([pattern]))[0]
+            hits = hit_table(keys[None], np.array([pattern])).ranks
             aps = (average_precision(ranked, relevant), ap_from_hit_ranks(hits, len(hits)))
             if max(abs(ap - ap_oracle(ranked, relevant)) for ap in aps) > 1e-12:
                 return CheckResult("oracles", False,

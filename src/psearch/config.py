@@ -10,7 +10,7 @@ from dataclasses import dataclass, fields, replace
 
 from .dictionaries import HyperParams
 from .errors import ConfigError, InvalidParams
-from .simulator import check_training, check_world
+from .simulator import Schedule, check_training, check_world
 
 
 @dataclass
@@ -58,12 +58,9 @@ class ExperimentConfig(HyperParams):
             raise ConfigError("iters: must be >= 1")
         try:
             hyperparams_from_config(self)
-        except ValueError as exc:
+            Schedule(self.lr_initial, self.lr_final, self.lr_drop_frac)
+        except (ValueError, InvalidParams) as exc:
             raise ConfigError(str(exc)) from exc
-        if self.lr_initial < 0 or self.lr_final < 0:
-            raise ConfigError("lr_initial, lr_final: must be >= 0")
-        if not (0.0 <= self.lr_drop_frac <= 1.0):
-            raise ConfigError("lr_drop_frac: must be in [0, 1]")
         if self.query_count < 1:
             raise ConfigError("query_count: must be >= 1")
         if self.gallery_per_identity < 1:

@@ -5,6 +5,8 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -22,10 +24,45 @@ def item_dtype(dim: int) -> np.dtype:
     return np.dtype([("feat", np.float64, (dim,)), ("id", np.int64)])
 
 
-@dataclass
+class HitTable(NamedTuple):
+    """Every hit (relevant column) of some rows of keys, row after row, each
+    row's hits in rank order."""
+
+    ranks: np.ndarray  # each hit's 1-based rank in its row's stable ascending order
+    ahead: np.ndarray  # the columns ranked ahead of each hit (rank - 1 of them), hit after hit
+    counts: np.ndarray  # hits per row
+
+
+@dataclass(frozen=True)
 class RetrievalSet:
-    queries: np.ndarray  # record arrays of item_dtype
+    """Queries and gallery as read-only record arrays of item_dtype, so the
+    hit table scored from them on first use cannot go stale."""
+
+    queries: np.ndarray
     gallery: np.ndarray
+
+    def __post_init__(self):
+        for name in ("queries", "gallery"):
+            view = getattr(self, name).view()
+            view.flags.writeable = False
+            object.__setattr__(self, name, view)
+
+    @cached_property
+    def hits(self) -> HitTable:
+        """The hits of every query with >= 1 relevant gallery item, from one
+        Q_block @ G.T per block of such queries, reading the records' fields in
+        place; queries without any relevant item are excluded and logged."""
+        relevant = self.queries["id"][:, None] == self.gallery["id"]
+        answered = np.flatnonzero(relevant.any(axis=1))
+        if len(answered) < len(self.queries):
+            log.info("excluded %d queries with no relevant gallery item",
+                     len(self.queries) - len(answered))
+        if not len(answered):
+            raise NoRelevant("no query has a relevant gallery item")
+        Q, G = self.queries["feat"], self.gallery["feat"]
+        blocks = [hit_table(np.negative(Q[block]) @ G.T, relevant[block])
+                  for block in np.split(answered, range(QUERY_BLOCK, len(answered), QUERY_BLOCK))]
+        return HitTable(*map(np.concatenate, zip(*blocks)))
 
 
 def rank_gallery(query: np.ndarray, gallery_feats) -> np.ndarray:
@@ -42,28 +79,24 @@ def rank_gallery(query: np.ndarray, gallery_feats) -> np.ndarray:
     return np.argsort(np.negative(query) @ np.asarray(gallery_feats).T, axis=-1, kind="stable")
 
 
-def hit_ranks(keys: np.ndarray, relevant: np.ndarray, within=None) -> list[np.ndarray]:
-    """Per row of keys, the ascending 1-based ranks of its relevant columns (a
-    boolean mask) in the row's stable ascending order, found without sorting:
-    1 + the count of keys ahead (smaller, or equal at a lower column). No NaN.
-
-    within, a (columns, galleries) 0/1 float matrix, ranks each hit inside
-    several galleries that all hold every relevant column: a row's ranks are
-    then (galleries, hits), each counting the keys ahead inside one gallery
-    by one (hits, columns) @ within product, exact in float64."""
+def hit_table(keys: np.ndarray, relevant: np.ndarray) -> HitTable:
+    """The hits of each row of keys, its relevant columns (a boolean mask),
+    ranked in the row's stable ascending order without sorting it: a hit's
+    rank is 1 + the count of keys ahead (smaller, or equal at a lower
+    column). The columns ahead are kept in the narrowest type that holds a
+    column index. No NaN."""
     rows, cols = np.nonzero(relevant)
-    ranks = np.empty(np.shape(within)[1:] + rows.shape, rows.dtype)  # np.shape(None) is ()
-    places = np.empty_like(rows)  # hits ahead in its row, the same in every gallery
+    order = np.lexsort((cols, keys[rows, cols], rows))  # each row's hits in rank order
+    rows, cols = rows[order], cols[order]
+    columns = np.arange(keys.shape[1], dtype=np.min_scalar_type(keys.shape[1]))
+    ranks, ahead = np.empty_like(rows), [columns[:0]]  # an empty part: rows may have no hit
     for s in range(0, len(rows), HIT_BLOCK):
         r, c = rows[s:s + HIT_BLOCK], cols[s:s + HIT_BLOCK]
         row_keys, key = keys[r], keys[r, c][:, None]
-        ahead = (row_keys < key) | ((row_keys == key) & (np.arange(keys.shape[1]) < c[:, None]))
-        ranks[..., s:s + HIT_BLOCK] = 1 + (np.count_nonzero(ahead, axis=1) if within is None
-                                           else (ahead @ within).T)
-        places[s:s + HIT_BLOCK] = np.count_nonzero(ahead & relevant[r], axis=1)
-    ordered = np.empty_like(ranks)
-    ordered[..., np.searchsorted(rows, rows) + places] = ranks
-    return np.split(ordered, np.cumsum(np.count_nonzero(relevant, axis=1))[:-1], axis=-1)
+        is_ahead = (row_keys < key) | ((row_keys == key) & (columns < c[:, None]))
+        ranks[s:s + HIT_BLOCK] = 1 + np.count_nonzero(is_ahead, axis=1)
+        ahead.append(np.broadcast_to(columns, is_ahead.shape)[is_ahead])
+    return HitTable(ranks, np.concatenate(ahead), np.count_nonzero(relevant, axis=1))
 
 
 def ap_from_hit_ranks(hits: np.ndarray, num_relevant: int) -> float:
@@ -91,33 +124,21 @@ def cmc_topk(ranked: np.ndarray, relevant: set[int], k: int) -> bool:
     return bool(np.isin(ranked[:k], list(relevant), kind="sort").any())
 
 
-def _evaluate(queries, gallery, within=None):
-    """One (mAP, CMC) per gallery, from one Q_block @ G.T per block of
-    answered queries, reading the records' fields in place: the whole
-    gallery, or each column of hit_ranks' within."""
-    relevant = queries["id"][:, None] == gallery["id"]
-    answered = np.flatnonzero(relevant.any(axis=1))
-    if len(answered) < len(queries):
-        log.info("excluded %d queries with no relevant gallery item", len(queries) - len(answered))
-    if not len(answered):
-        raise NoRelevant("no query has a relevant gallery item")
-    Q, G = queries["feat"], gallery["feat"]
-    hits = []
-    for start in range(0, len(answered), QUERY_BLOCK):
-        block = answered[start:start + QUERY_BLOCK]
-        hits += hit_ranks(np.negative(Q[block]) @ G.T, relevant[block], within)
-    results = []
-    for per_query in [hits] if within is None else zip(*hits):  # one gallery at a time
-        first = np.array([h[0] for h in per_query])
-        mAP = float(np.mean([ap_from_hit_ranks(h, len(h)) for h in per_query]))
-        results.append((mAP, {k: float(np.mean(first <= k)) for k in TOP_KS}))
-    return results
+def _score(ranks: np.ndarray, counts: np.ndarray):
+    """mAP and CMC top-k rates (TOP_KS) from the ascending hit ranks of
+    every answered query, query after query, counts[i] hits for query i."""
+    ends = np.cumsum(counts)
+    starts = ends - counts
+    mAP = float(np.mean([ap_from_hit_ranks(ranks[a:b], b - a)
+                         for a, b in zip(starts.tolist(), ends.tolist())]))
+    first = ranks[starts]
+    return mAP, {k: float(np.mean(first <= k)) for k in TOP_KS}
 
 
 def evaluate_retrieval(rset: RetrievalSet):
     """mAP and CMC top-k rates (TOP_KS) over all queries with >= 1 relevant
     item; queries without any relevant gallery item are excluded and logged."""
-    return _evaluate(rset.queries, rset.gallery)[0]
+    return _score(rset.hits.ranks, rset.hits.counts)
 
 
 def gallery_sweep(rset: RetrievalSet, sizes, rng: np.random.Generator):
@@ -125,11 +146,12 @@ def gallery_sweep(rset: RetrievalSet, sizes, rng: np.random.Generator):
     query, grow a shared, shuffled distractor prefix. Returns rows of
     (size, mAP, top1, top5, top10).
 
-    Every size is checked before any is scored, and all are scored in one
-    pass over the whole gallery, read in place: a column's depth is 0 for a
-    kept item and 1 + its place in the distractor order otherwise, and size
-    s holds the columns of depth <= s - kept. Sizes keep index order, so
-    each row equals evaluating that sub-gallery on its own."""
+    Every size is checked before any is scored, and all are scored from the
+    set's hit table: a column's depth is 0 for a kept item and 1 + its place
+    in the distractor order otherwise, size s holds the columns of depth
+    <= s - kept, and a hit's rank in it is 1 + the count of its columns ahead
+    that size s holds. Sizes keep index order, so each row equals evaluating
+    that sub-gallery on its own."""
     sizes = list(sizes)
     is_kept = np.isin(rset.gallery["id"], rset.queries["id"])
     n_kept = np.count_nonzero(is_kept)
@@ -139,8 +161,16 @@ def gallery_sweep(rset: RetrievalSet, sizes, rng: np.random.Generator):
             raise SizeTooLarge(f"size {size} exceeds gallery {len(rset.gallery)}")
         if size < n_kept:
             raise SizeTooLarge(f"size {size} cannot hold the {n_kept} relevant items")
-    depth = np.zeros(len(is_kept), dtype=np.int64)
+    ranks, ahead, counts = rset.hits
+    depth = np.zeros(len(is_kept), ahead.dtype)
     depth[np.flatnonzero(~is_kept)[order]] = np.arange(1, len(order) + 1)
-    within = (depth[:, None] <= np.subtract(sizes, n_kept)).astype(np.float64)
-    results = _evaluate(rset.queries, rset.gallery, within)
-    return [(size, mAP, cmc[1], cmc[5], cmc[10]) for size, (mAP, cmc) in zip(sizes, results)]
+    ends = np.cumsum(ranks - 1)  # each hit's columns ahead are ahead[ends - ranks + 1:ends]
+    # a running count of the columns held, in ahead's type: it may wrap around,
+    # but one hit's count, below the gallery length, is its two ends' difference
+    held = np.zeros(len(ahead) + 1, ahead.dtype)
+    rows = []
+    for size in sizes:
+        np.cumsum((depth <= size - n_kept)[ahead], dtype=held.dtype, out=held[1:])
+        mAP, cmc = _score(1 + (held[ends] - held[ends - ranks + 1]), counts)
+        rows.append((size, mAP, cmc[1], cmc[5], cmc[10]))
+    return rows

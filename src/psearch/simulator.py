@@ -263,10 +263,18 @@ class TrainLogRow:
 
 @dataclass
 class Schedule:
-    """Step schedule: lr_initial until drop_frac of iterations, then lr_final."""
+    """Step schedule: lr_initial until drop_frac of iterations, then lr_final.
+    Checks its own fields, as HyperParams does (InvalidParams)."""
     lr_initial: float = 0.01
     lr_final: float = 0.001
     drop_frac: float = 0.6
+
+    def __post_init__(self):
+        # written so that NaN fails every comparison
+        if not (self.lr_initial >= 0 and self.lr_final >= 0):
+            raise InvalidParams("lr_initial, lr_final: must be >= 0")
+        if not (0.0 <= self.drop_frac <= 1.0):
+            raise InvalidParams("lr_drop_frac: must be in [0, 1]")
 
     def lr_at(self, iteration: int, total_iters: int) -> float:
         if iteration < self.drop_frac * total_iters:

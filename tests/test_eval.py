@@ -1,3 +1,4 @@
+import dataclasses
 import logging
 import math
 import tracemalloc
@@ -14,11 +15,12 @@ from psearch.errors import EmptyGallery, NoRelevant, SizeTooLarge
 from psearch.evaluation import (
     QUERY_BLOCK,
     RetrievalSet,
+    ap_from_hit_ranks,
     average_precision,
     cmc_topk,
     evaluate_retrieval,
     gallery_sweep,
-    hit_ranks,
+    hit_table,
     item_dtype,
     rank_gallery,
 )
@@ -101,8 +103,27 @@ class TestHitRanks:
     def test_ties_at_relevant_items_rank_by_column(self):
         keys = np.array([[0.0, 0.0, -1.0, 0.0], [2.0, 1.0, 1.0, 1.0]])
         relevant = np.array([[False, True, False, True], [True, False, True, False]])
-        got = hit_ranks(keys, relevant)
-        assert [h.tolist() for h in got] == [[3, 4], [2, 4]]
+        ranks, ahead, counts = hit_table(keys, relevant)
+        assert ranks.tolist() == [3, 4, 2, 4] and counts.tolist() == [2, 2]
+        assert ahead.tolist() == [0, 2, 0, 1, 2, 1, 1, 2, 3]
+
+
+class TestRetrievalSetCannotGoStale:
+    def test_frozen_and_read_only(self):
+        rset = random_retrieval_set(make_rng(0), 3, 2, 4)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            rset.gallery = rset.gallery[:2]
+        with pytest.raises(ValueError):
+            rset.queries["feat"] = 0.0
+        with pytest.raises(ValueError):
+            rset.queries["feat"][0, 0] = 0.0
+        with pytest.raises(ValueError):
+            rset.gallery["id"] = 7
+        with pytest.raises(ValueError):
+            rset.gallery[0] = rset.gallery[1]
+        queries = rset.queries.copy()
+        RetrievalSet(queries, queries)
+        queries["id"] = 5  # the arrays passed in stay writeable
 
 
 class TestEvaluateRetrieval:
@@ -166,22 +187,42 @@ class TestGallerySweep:
 
     def test_every_size_checked_before_any_is_scored(self, monkeypatch):
         scored = []
-        monkeypatch.setattr(psearch.evaluation, "_evaluate", lambda *args: scored.append(args))
+        monkeypatch.setattr(psearch.evaluation, "_score", lambda *args: scored.append(args))
         rset = random_retrieval_set(make_rng(1), 4, 2, 300)
         with pytest.raises(SizeTooLarge):
             gallery_sweep(rset, [200, 10**6], make_rng(0))
         with pytest.raises(SizeTooLarge):
             gallery_sweep(rset, [200, 2], make_rng(0))
         assert scored == []
+        assert "hits" not in vars(rset)  # nor was the hit table built
 
-    def test_orphan_queries_logged_once_per_sweep(self, caplog):
+    def test_orphan_queries_logged_once_per_sweep(self, caplog, monkeypatch):
+        """Also with evaluate_retrieval before and after the sweep: the set
+        is scored once, its one block of queries ranked once."""
         rset = random_retrieval_set(make_rng(2), 3, 1, 15)
         orphan = np.array([(unit(*[1.0] * 8), 99)], dtype=rset.queries.dtype)
         rset = RetrievalSet(np.concatenate([rset.queries, orphan]), rset.gallery)
+        tables = []
+        build = psearch.evaluation.hit_table
+        monkeypatch.setattr(psearch.evaluation, "hit_table",
+                            lambda *args: tables.append(args) or build(*args))
         with caplog.at_level(logging.INFO, logger="psearch.evaluation"):
+            evaluate_retrieval(rset)
             gallery_sweep(rset, [5, 10, 18], make_rng(0))
+            evaluate_retrieval(rset)
         assert [r.getMessage() for r in caplog.records] == [
             "excluded 1 queries with no relevant gallery item"]
+        assert len(tables) == 1
+
+    def test_running_count_wraps_in_the_narrow_column_type(self):
+        """A 200-item gallery keeps its columns ahead as uint8, and 100
+        queries put over 1,000 of them in the table, so the sweep's
+        running count wraps; its rows still equal the dense reference."""
+        rset = random_retrieval_set(make_rng(4), 100, 1, 100)
+        ahead = rset.hits.ahead
+        assert ahead.dtype == np.uint8 and len(ahead) > 4 * 255
+        rows = gallery_sweep(rset, [100, 150, 200], make_rng(5))
+        assert rows == reference_sweep(rset, [100, 150, 200], make_rng(5))
 
     def test_size_exceeds_gallery(self):
         rng = make_rng(1)
@@ -268,6 +309,90 @@ def test_array_evaluation_matches_brute_force_oracles(rset, seed):
         assert row_cmc == [ref_cmc[1], ref_cmc[5], ref_cmc[10]]
 
 
+def reference_rows(queries, gallery, within=None):
+    """The evaluation that scored each retrieval set afresh per call: one
+    (mAP, CMC) per gallery, the whole gallery or each column of within, a
+    (gallery, sizes) 0/1 matrix whose (hits, gallery) @ within product
+    counts the keys ahead of each hit inside each size."""
+    relevant = queries["id"][:, None] == gallery["id"]
+    answered = np.flatnonzero(relevant.any(axis=1))
+    if not len(answered):
+        raise NoRelevant("no query has a relevant gallery item")
+    hits = []
+    for start in range(0, len(answered), QUERY_BLOCK):
+        block = answered[start:start + QUERY_BLOCK]
+        keys, rel = np.negative(queries["feat"][block]) @ gallery["feat"].T, relevant[block]
+        rows, cols = np.nonzero(rel)
+        ranks = np.empty(np.shape(within)[1:] + rows.shape, rows.dtype)
+        places = np.empty_like(rows)
+        for s in range(0, len(rows), 16):
+            r, c = rows[s:s + 16], cols[s:s + 16]
+            row_keys, key = keys[r], keys[r, c][:, None]
+            ahead = (row_keys < key) | ((row_keys == key) & (np.arange(keys.shape[1]) < c[:, None]))
+            ranks[..., s:s + 16] = 1 + (np.count_nonzero(ahead, axis=1) if within is None
+                                        else (ahead @ within).T)
+            places[s:s + 16] = np.count_nonzero(ahead & rel[r], axis=1)
+        ordered = np.empty_like(ranks)
+        ordered[..., np.searchsorted(rows, rows) + places] = ranks
+        hits += np.split(ordered, np.cumsum(np.count_nonzero(rel, axis=1))[:-1], axis=-1)
+    results = []
+    for per_query in [hits] if within is None else zip(*hits):
+        first = np.array([h[0] for h in per_query])
+        mAP = float(np.mean([ap_from_hit_ranks(h, len(h)) for h in per_query]))
+        results.append((mAP, {k: float(np.mean(first <= k)) for k in (1, 5, 10)}))
+    return results
+
+
+def reference_sweep(rset, sizes, rng):
+    """gallery_sweep's rows from reference_rows and a dense 0/1 size matrix."""
+    is_kept = np.isin(rset.gallery["id"], rset.queries["id"])
+    n_kept = np.count_nonzero(is_kept)
+    order = rng.permutation(len(is_kept) - n_kept)
+    depth = np.zeros(len(is_kept), dtype=np.int64)
+    depth[np.flatnonzero(~is_kept)[order]] = np.arange(1, len(order) + 1)
+    within = (depth[:, None] <= np.subtract(sizes, n_kept)).astype(np.float64)
+    results = reference_rows(rset.queries, rset.gallery, within)
+    return [(size, mAP, cmc[1], cmc[5], cmc[10]) for size, (mAP, cmc) in zip(sizes, results)]
+
+
+@st.composite
+def shared_table_sets(draw):
+    """tied_retrieval_sets, with the last gallery item made relevant to the
+    first query at times, and 1 or 2 * QUERY_BLOCK + 3 queries among the
+    query counts; the raw (queries, gallery) records come along, so each
+    draw can build fresh sets."""
+    rset = draw(tied_retrieval_sets())
+    queries, gallery = rset.queries.copy(), rset.gallery.copy()
+    n_queries = draw(st.sampled_from([len(queries), 1, 2 * QUERY_BLOCK + 3]))
+    queries = np.resize(queries, n_queries)  # repeats the drawn queries
+    if draw(st.booleans()):
+        gallery["id"][-1] = queries["id"][0]
+    return queries, gallery
+
+
+@given(records=shared_table_sets(), seed=st.integers(0, 2**32 - 1), data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_one_shared_table_gives_the_rows_of_separate_passes(records, seed, data):
+    """Exact ties, orphan queries, hits in the last column, several query
+    blocks: evaluate then sweep, sweep then evaluate, and each again on the
+    same set, all read one cached hit table and give (==) the rows that
+    scoring the set afresh per call gave."""
+    queries, gallery = records
+    kept = np.count_nonzero(np.isin(gallery["id"], queries["id"]))
+    assume(kept)
+    sizes = data.draw(st.lists(st.integers(kept, len(gallery)), min_size=1, max_size=4))
+    (mAP, cmc), = reference_rows(queries, gallery)
+    want_eval = (mAP, cmc)
+    want_sweep = reference_sweep(RetrievalSet(queries, gallery), sizes, make_rng(seed))
+    first = RetrievalSet(queries, gallery)
+    second = RetrievalSet(queries, gallery)
+    for _ in range(2):
+        assert evaluate_retrieval(first) == want_eval
+        assert gallery_sweep(first, sizes, make_rng(seed)) == want_sweep
+        assert gallery_sweep(second, sizes, make_rng(seed)) == want_sweep
+        assert evaluate_retrieval(second) == want_eval
+
+
 @given(rset=tied_retrieval_sets(), seed=st.integers(0, 2**32 - 1), data=st.data())
 @settings(max_examples=200, deadline=None)
 def test_sweep_rows_equal_each_size_alone_and_its_sub_gallery(rset, seed, data):
@@ -312,16 +437,21 @@ def test_hit_ranks_are_the_relevant_positions_of_the_stable_ranking(rset):
     """Exact ties (also at relevant items), several relevant items per
     query, orphan queries, and more hits than one comparison chunk: each
     row's hit ranks are the 1-based positions of its relevant columns in
-    rank_gallery's stable ranking."""
+    rank_gallery's stable ranking, and each hit's columns ahead are the
+    columns before it there, ascending."""
     queries = np.array([q for q, _ in rset.queries])
     gallery = np.array([g for g, _ in rset.gallery])
     qids = np.array([qid for _, qid in rset.queries])
     relevant = qids[:, None] == [gid for _, gid in rset.gallery]
-    got = hit_ranks(np.negative(queries) @ gallery.T, relevant)
-    ranked = rank_gallery(queries, gallery)
-    assert len(got) == len(queries)
-    for hits, row, rel in zip(got, ranked, relevant, strict=True):
-        assert hits.tolist() == (np.flatnonzero(rel[row]) + 1).tolist()
+    ranks, ahead, counts = hit_table(np.negative(queries) @ gallery.T, relevant)
+    want_ranks, want_ahead = [], []
+    for row, rel in zip(rank_gallery(queries, gallery), relevant, strict=True):
+        for place in np.flatnonzero(rel[row]).tolist():
+            want_ranks.append(place + 1)
+            want_ahead += sorted(row[:place].tolist())
+    assert counts.tolist() == np.count_nonzero(relevant, axis=1).tolist()
+    assert ranks.tolist() == want_ranks
+    assert ahead.tolist() == want_ahead
 
 
 def scalar_observation(world, proto, rng):

@@ -350,6 +350,28 @@ class TestSchedule:
         assert s.lr_at(60, 100) == 0.001
         assert s.lr_at(99, 100) == 0.001
 
+    @pytest.mark.parametrize("fields,message", [
+        ({"lr_initial": -0.5, "lr_final": -0.5}, "lr_initial, lr_final: must be >= 0"),
+        ({"lr_final": float("nan")}, "lr_initial, lr_final: must be >= 0"),
+        ({"drop_frac": 1.5}, "lr_drop_frac: must be in [0, 1]"),
+        ({"drop_frac": float("nan")}, "lr_drop_frac: must be in [0, 1]"),
+    ])
+    def test_checks_its_own_fields(self, fields, message):
+        with pytest.raises(InvalidParams) as err:
+            Schedule(**fields)
+        assert str(err.value) == message
+
+    def test_negative_learning_rate_fails_before_training(self):
+        # gradient ascent, once: a direct train() call with a negative
+        # schedule fails before iteration 0 reads the generator or the encoder
+        world, enc, rng = generate_world(10, latent_dim=4, obs_dim=16), ToyEncoder(16, 8), make_rng(0)
+        W, state = enc.W.copy(), rng.bit_generator.state
+        with pytest.raises(InvalidParams, match="^lr_initial, lr_final: "):
+            train(world, enc, HyperParams(), Schedule(lr_initial=-0.5, lr_final=-0.5),
+                  "triplet+hep", 2, 4, 50, rng)
+        assert np.array_equal(enc.W, W)
+        assert rng.bit_generator.state == state
+
 
 class RecordingDictionary(FeatureDictionary):
     pushed_labels: list = []
