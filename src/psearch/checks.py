@@ -62,7 +62,7 @@ def single_subgroup_olp(anchor, positive, negatives) -> float:
 def olp_oracle(anchors, positives, anchor_labels, dictionary: FeatureDictionary):
     """Per-subgroup olp_loss: each subgroup copies its negatives out of
     the dictionary and runs its own softmax. Returns (loss, anchor
-    gradients, hard ranking by a stable sort of (similarity, label))."""
+    gradients, hard ranking by a sort of (-similarity, label))."""
     losses, grads, ranked = [], [], []
     for anchor, positive, label in zip(anchors, positives, anchor_labels):
         negs, neg_labels = dictionary.negatives(int(label))
@@ -74,7 +74,7 @@ def olp_oracle(anchors, positives, anchor_labels, dictionary: FeatureDictionary)
             grad = grad + p * n
         grads.append(grad)
         ranked += zip(sims, neg_labels)
-    ranked.sort(key=lambda t: -t[0])
+    ranked.sort(key=lambda t: (-t[0], t[1]))
     return math.fsum(losses) / len(losses), np.array(grads), [lab for _, lab in ranked]
 
 

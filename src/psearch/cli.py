@@ -22,11 +22,13 @@ from .config import (
 from .errors import ConfigError, DivergenceDetected, PSearchError
 from .runner import (
     ABLATE_KINDS,
+    EVAL_HEADER,
+    csv_text,
     make_out_dir,
     run_ablation,
     run_experiment,
     run_gallery_size_sweep,
-    write_eval_csv,
+    write_artifacts,
 )
 
 
@@ -92,8 +94,9 @@ def main(argv=None) -> int:
             return 0
         if args.command == "sweep-gallery":
             cfg = _build_config(args)
-            path = os.path.join(make_out_dir(cfg), "gallery-sweep.csv")
-            write_eval_csv(path, run_gallery_size_sweep(cfg))
+            out = make_out_dir(cfg)
+            rows = run_gallery_size_sweep(cfg)
+            [path] = write_artifacts(out, {"gallery-sweep.csv": csv_text(EVAL_HEADER, rows)})
             print(f"wrote {path}")
             return 0
         if args.command == "check":

@@ -5,7 +5,6 @@ run starts."""
 from __future__ import annotations
 
 import hashlib
-import math
 from dataclasses import dataclass, fields, replace
 
 from .dictionaries import HyperParams
@@ -44,22 +43,14 @@ class ExperimentConfig(HyperParams):
     def validate(self) -> None:
         if self.seed < 0:
             raise ConfigError("seed: must be >= 0")
-        for f in fields(self):
-            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
-                raise ConfigError(f"{_ATTR_TO_KEY.get(f.name, f.name)}: must be finite")
-        try:
+        try:  # each owner checks its settings, finiteness included, in this order
             check_world(self.num_identities, self.latent_dim, self.obs_dim, self.sigma_view,
                         self.sigma_noise, self.unlabeled_fraction, self.background_fraction)
             check_training(self.loss_choice, self.images_per_iter, self.proposals_per_image,
-                           self.dict_multiplier)
-        except InvalidParams as exc:
-            raise ConfigError(str(exc)) from exc
-        if self.iters < 1:
-            raise ConfigError("iters: must be >= 1")
-        try:
+                           self.iters, self.dict_multiplier)
             hyperparams_from_config(self)
             Schedule(self.lr_initial, self.lr_final, self.lr_drop_frac)
-        except (ValueError, InvalidParams) as exc:
+        except InvalidParams as exc:
             raise ConfigError(str(exc)) from exc
         if self.query_count < 1:
             raise ConfigError("query_count: must be >= 1")

@@ -7,11 +7,12 @@ center per identity, blended progressively and renormalized.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidLabel
+from .errors import DimensionMismatch, InvalidLabel, InvalidParams
 from .numerics import ZERO_NORM_EPS
 
 LABEL_UNIDENTIFIED = -1  # person without identity annotation
@@ -30,19 +31,19 @@ class HyperParams:
     contrastive_margin: float = 0.5
 
     def __post_init__(self):
-        # written so that NaN fails every comparison
-        if not (self.alpha >= 0 and self.beta >= 0):
-            raise ValueError("alpha and beta must be >= 0")
-        if not self.lam > 0:
-            raise ValueError("lambda must be > 0")
+        # written so that NaN fails every comparison; inf fails the upper bounds
+        if not (0 <= self.alpha < math.inf and 0 <= self.beta < math.inf):
+            raise InvalidParams("alpha and beta must be >= 0")
+        if not 0 < self.lam < math.inf:
+            raise InvalidParams("lambda must be > 0")
         if not (0.0 < self.phi < 1.0):
-            raise ValueError("phi must be in (0, 1)")
+            raise InvalidParams("phi must be in (0, 1)")
         if not self.pool_size >= 1:
-            raise ValueError("pool_size must be >= 1")
+            raise InvalidParams("pool_size must be >= 1")
         if not self.top_negatives >= 0:
-            raise ValueError("top_negatives must be >= 0")
+            raise InvalidParams("top_negatives must be >= 0")
         if not (0.0 <= self.triplet_margin <= 2.0 and -1.0 <= self.contrastive_margin <= 1.0):
-            raise ValueError("triplet_margin must be in [0, 2], contrastive_margin in [-1, 1]")
+            raise InvalidParams("triplet_margin must be in [0, 2], contrastive_margin in [-1, 1]")
 
 
 def _rows_for(labels: np.ndarray, features, dim: int) -> np.ndarray:

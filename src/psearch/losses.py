@@ -41,10 +41,9 @@ def olp_loss(anchors, positives, anchor_labels, negatives, negative_labels) -> O
     negative log of the positive share. The anchor gradient is
     (q - 1) * positive + sum_k q_hat_k * negative_k. hard_ranked lists each
     distinct label of the unmasked (subgroup, negative) similarities once,
-    in the order a stable descending sort of all of them first reaches it:
-    by the label's highest similarity, ties by subgroup, then dictionary
-    position. negative_labels must be >= -1 (InvalidLabel otherwise); the
-    ranking's per-label tables are sized by the largest of them.
+    by the label's highest such similarity, descending; equal ones go in
+    label order. negative_labels must be >= -1 (InvalidLabel otherwise);
+    the ranking's per-label table is sized by the largest of them.
     """
     anchors = np.asarray(anchors, dtype=np.float64)
     if len(anchors) == 0:
@@ -60,16 +59,12 @@ def olp_loss(anchors, positives, anchor_labels, negatives, negative_labels) -> O
     probs = softmax(scores)
     q, q_hat = probs[:, 0], probs[:, 1:]
     grads = (q - 1.0)[:, None] * positives + q_hat @ negatives
-    # a stable descending sort of all unmasked similarities first reaches a label at its best
-    # one, at the least row * K + col holding it; tables are indexed by label + 1
+    # each label's best unmasked similarity, indexed by label + 1; present is in label order
     lab = negative_labels + 1
     best = np.full(lab.max(initial=0) + 1, -np.inf)
     np.maximum.at(best, lab, sims.max(axis=0))
-    rows, cols = (sims == best[lab]).nonzero()
-    first = np.full(best.size, sims.size)
-    np.minimum.at(first, lab[cols], rows * len(lab) + cols)
     present = (best > -np.inf).nonzero()[0]
-    ranked = present[np.lexsort((first[present], -best[present]))] - 1
+    ranked = present[np.argsort(-best[present], kind="stable")] - 1
     return OlpResult(math.fsum(-np.log(q)) / len(anchors), q, q_hat, grads, ranked)
 
 

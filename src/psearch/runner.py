@@ -120,12 +120,6 @@ def write_text(path: str, text: str) -> None:
         fh.write(text)
 
 
-def write_eval_csv(path: str, rows) -> None:
-    """Eval rows as one whole file at path (see write_artifacts)."""
-    folder, name = os.path.split(path)
-    write_artifacts(folder or ".", {name: csv_text(EVAL_HEADER, rows)})
-
-
 def write_artifacts(out: str, files: dict[str, str]) -> list[str]:
     """Write a command's files, name -> text, as one set: each is written
     into a temp directory inside out, and all are moved in with os.replace

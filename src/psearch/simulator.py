@@ -74,19 +74,21 @@ def check_world(num_identities: int, latent_dim: int, obs_dim: int, sigma_view: 
         raise InvalidParams("latent_dim: must be >= 2")
     if obs_dim < 2 * latent_dim:
         raise InvalidParams("obs_dim: must be >= 2 * latent_dim for disjoint subspaces")
-    if not (sigma_view >= 0 and sigma_noise >= 0):
+    if not (0 <= sigma_view < math.inf and 0 <= sigma_noise < math.inf):
         raise InvalidParams("sigma_view, sigma_noise: must be >= 0")
     if not (0 <= unlabeled_fraction <= 1 and 0 <= background_fraction <= 1):
         raise InvalidParams("unlabeled_fraction, background_fraction: must be in [0, 1]")
 
 
 def check_training(loss_choice: str, images_per_iter: int, proposals_per_image: int,
-                   dict_multiplier: int) -> None:
+                   iters: int, dict_multiplier: int) -> None:
     """The training settings train() runs with; InvalidParams otherwise."""
     if images_per_iter not in IMAGES_PER_ITER:
         raise InvalidParams(f"images_per_iter: must be one of {IMAGES_PER_ITER}")
     if proposals_per_image < 1:
         raise InvalidParams("proposals_per_image: must be >= 1")
+    if iters < 1:
+        raise InvalidParams("iters: must be >= 1")
     if dict_multiplier < 1:
         raise InvalidParams("dict_multiplier: must be >= 1")
     if loss_choice not in LOSS_TERMS:
@@ -179,8 +181,6 @@ def sample_image_pair(
     their normalised prototype row; all rows of an image share its camera
     offset. The name stays because perfbench's tracer looks it up.
     """
-    if proposals_per_image < 1:
-        raise InvalidParams("proposals_per_image must be >= 1")
     n, dim, images = proposals_per_image, world.latent_dim, 2 * pairs
     labels = np.empty((images, n), dtype=np.int64)
     labels[0::2, 0] = labels[1::2, 0] = rng.integers(world.num_identities, size=pairs)
@@ -270,8 +270,8 @@ class Schedule:
     drop_frac: float = 0.6
 
     def __post_init__(self):
-        # written so that NaN fails every comparison
-        if not (self.lr_initial >= 0 and self.lr_final >= 0):
+        # written so that NaN fails every comparison; inf fails the upper bound
+        if not (0 <= self.lr_initial < math.inf and 0 <= self.lr_final < math.inf):
             raise InvalidParams("lr_initial, lr_final: must be >= 0")
         if not (0.0 <= self.drop_frac <= 1.0):
             raise InvalidParams("lr_drop_frac: must be in [0, 1]")
@@ -310,7 +310,7 @@ def train(
     iteration has at least two subgroups, labeled rows and hep rows per
     pair, and no loss term is ever empty.
     """
-    check_training(loss_choice, images_per_iter, proposals_per_image, dict_multiplier)
+    check_training(loss_choice, images_per_iter, proposals_per_image, iters, dict_multiplier)
     metric, identity = LOSS_TERMS[loss_choice]
 
     capacity = dict_multiplier * proposals_per_image * images_per_iter

@@ -20,11 +20,13 @@ from psearch.dictionaries import ClassCenterTable
 from psearch.errors import PSearchError
 from psearch.losses import c2hep_loss, hep_loss, olp_loss
 from psearch.runner import (
+    EVAL_HEADER,
+    csv_text,
     evaluate_config,
     run_ablation,
     run_experiment,
     run_gallery_size_sweep,
-    write_eval_csv,
+    write_artifacts,
 )
 
 
@@ -206,8 +208,8 @@ def test_criterion_8_determinism(tmp_path):
     rows1 = run_gallery_size_sweep(dataclasses.replace(SMALL))
     rows2 = run_gallery_size_sweep(dataclasses.replace(SMALL))
     p1, p2 = tmp_path / "s1.csv", tmp_path / "s2.csv"
-    write_eval_csv(str(p1), rows1)
-    write_eval_csv(str(p2), rows2)
+    write_artifacts(str(tmp_path), {"s1.csv": csv_text(EVAL_HEADER, rows1),
+                                    "s2.csv": csv_text(EVAL_HEADER, rows2)})
     same_sweep = p1.read_bytes() == p2.read_bytes()
 
     report("8 determinism", same_run and same_sweep,

@@ -220,6 +220,18 @@ class TestCliRun:
         assert "config error" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    @pytest.mark.parametrize("key", [key for key, f in zip(config_keys(),
+                                                           dataclasses.fields(ExperimentConfig))
+                                     if f.type == "float"])
+    def test_non_finite_float_fails_before_training(self, tmp_path, capsys, key, value):
+        # each setting's owner refuses it; validate() has no finiteness sweep of its own
+        out = tmp_path / "out"
+        rc = main(["run", *TINY, f"--{key.replace('_', '-')}={value}", "--out-dir", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", [["run"], ["sweep-gallery"], ["ablate", "input-count"]])
     def test_unusable_out_dir_fails_before_training(self, tmp_path, capsys, monkeypatch,
                                                     command):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from psearch.dictionaries import ClassCenterTable, FeatureDictionary, HyperParams
-from psearch.errors import DimensionMismatch, InvalidLabel
+from psearch.errors import DimensionMismatch, InvalidLabel, InvalidParams
 from psearch.numerics import l2_normalize, make_rng
 
 
@@ -233,7 +233,10 @@ class TestHyperParams:
         {"triplet_margin": -0.1}, {"triplet_margin": 2.5}, {"triplet_margin": float("nan")},
         {"contrastive_margin": -3.0}, {"contrastive_margin": 1.5},
         {"contrastive_margin": float("nan")},
+        # infinite weights and temperatures are refused here, not mid-run by train()
+        {"alpha": float("inf")}, {"alpha": float("-inf")}, {"beta": float("inf")},
+        {"beta": float("-inf")}, {"lam": float("inf")}, {"lam": float("-inf")},
     ])
     def test_invalid(self, kwargs):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidParams):
             HyperParams(**kwargs)

@@ -106,8 +106,9 @@ class TestOlpLoss:
 
 def column_ranked_olp(anchors, positives, anchor_labels, negatives, negative_labels):
     """Reference: olp_loss's body from when it ranked hard negatives per
-    dictionary column (a column argmax, a lexsort of every column, then
-    np.unique); returns (loss, q, q_hat, anchor gradients, hard_ranked)."""
+    dictionary column (a lexsort of every column by its best similarity,
+    ties by label, then np.unique); returns (loss, q, q_hat, anchor
+    gradients, hard_ranked)."""
     anchors = np.asarray(anchors, dtype=np.float64)
     negatives = np.reshape(negatives, (-1, anchors.shape[1]))
     negative_labels = np.asarray(negative_labels)
@@ -119,8 +120,7 @@ def column_ranked_olp(anchors, positives, anchor_labels, negatives, negative_lab
     grads = (q - 1.0)[:, None] * positives + q_hat @ negatives
     best = sims.max(axis=0)
     col = np.flatnonzero(best > -np.inf)
-    flat = sims.argmax(axis=0)[col] * sims.shape[1] + col
-    ranked = negative_labels[col[np.lexsort((flat, -best[col]))]]
+    ranked = negative_labels[col[np.lexsort((negative_labels[col], -best[col]))]]
     _, first = np.unique(ranked, return_index=True)
     return math.fsum(-np.log(q)) / len(anchors), q, q_hat, grads, ranked[np.sort(first)]
 

@@ -46,6 +46,12 @@ class TestWorld:
         with pytest.raises(InvalidParams):
             generate_world(5, latent_dim=32, obs_dim=48)
 
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf")])
+    @pytest.mark.parametrize("field", ["sigma_view", "sigma_noise"])
+    def test_infinite_sigma_rejected(self, field, value):
+        with pytest.raises(InvalidParams, match=r"^sigma_view, sigma_noise: must be >= 0$"):
+            generate_world(10, latent_dim=4, obs_dim=16, **{field: value})
+
     def test_prototypes_unit_and_distinct(self):
         w = generate_world(30, seed=2)
         norms = np.linalg.norm(w.prototypes, axis=1)
@@ -170,11 +176,6 @@ class TestSampleImagePair:
         for pairs in range(1, 5):
             _, labels = sample_image_pair(w, pairs, 8, rng)
             assert np.all(labels != LABEL_UNIDENTIFIED)
-
-    def test_invalid_proposal_count(self):
-        w = generate_world(5, seed=0)
-        with pytest.raises(InvalidParams):
-            sample_image_pair(w, 1, 0, make_rng(0))
 
     @given(background=st.floats(0, 1), unlabeled=st.floats(0, 1),
            pairs=st.integers(1, 4), proposals=st.integers(1, 8))
@@ -355,6 +356,10 @@ class TestSchedule:
         ({"lr_final": float("nan")}, "lr_initial, lr_final: must be >= 0"),
         ({"drop_frac": 1.5}, "lr_drop_frac: must be in [0, 1]"),
         ({"drop_frac": float("nan")}, "lr_drop_frac: must be in [0, 1]"),
+        ({"lr_initial": float("inf")}, "lr_initial, lr_final: must be >= 0"),
+        ({"lr_final": float("inf")}, "lr_initial, lr_final: must be >= 0"),
+        ({"lr_initial": float("-inf")}, "lr_initial, lr_final: must be >= 0"),
+        ({"lr_final": float("-inf")}, "lr_initial, lr_final: must be >= 0"),
     ])
     def test_checks_its_own_fields(self, fields, message):
         with pytest.raises(InvalidParams) as err:
@@ -408,6 +413,16 @@ class TestTrain:
         with pytest.raises(InvalidParams, match=f"^{key}: "):
             train(self.small_world(), ToyEncoder(16, 8), HyperParams(), Schedule(),
                   loss, 2, proposals, 1, rng, dict_multiplier=multiplier)
+        assert rng.bit_generator.state == state
+
+    @pytest.mark.parametrize("iters", [0, -3])
+    def test_no_iterations_rejected_on_entry(self, iters):
+        # no iterations is a bad setting, not an empty log
+        rng = make_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(InvalidParams, match=r"^iters: must be >= 1$"):
+            train(self.small_world(), ToyEncoder(16, 8), HyperParams(), Schedule(),
+                  "olp+c2hep", 2, 4, iters, rng)
         assert rng.bit_generator.state == state
 
     def test_zero_learning_rate_is_noop(self):
@@ -485,13 +500,14 @@ class TestTrain:
         # rows are compared by full-precision repr(), which differs for np.float64
         assert all(type(v) is float for r in rows for v in (r.olp, r.id_loss, r.total))
 
-    @pytest.mark.filterwarnings("ignore:invalid value")
     def test_divergence_detected(self):
+        # after one step at a huge finite rate the head's probabilities underflow
+        # to 0, and their log makes the total non-finite
         w = self.small_world(seed=1)
         enc = ToyEncoder(16, 8, seed=1)
-        with pytest.raises(DivergenceDetected):
-            train(w, enc, HyperParams(), Schedule(float("inf"), float("inf")),
-                  "olp+c2hep", 2, 4, 50, make_rng(1))
+        with pytest.raises(DivergenceDetected, match="^non-finite total loss at iteration 1$"):
+            train(w, enc, HyperParams(), Schedule(1e150, 1e150),
+                  "triplet+hep", 2, 4, 50, make_rng(1))
 
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_overflowed_features_detected(self):
@@ -560,8 +576,8 @@ def test_olp_matches_per_subgroup_oracle(seed, stored, pairs, proposals, data):
     label matrix, one dictionary read, olp_loss) against
     checks.olp_oracle. Features are copies of four base vectors, so equal
     similarities (within one subgroup and across subgroups) are exact
-    ties, which both must order by subgroup, then dictionary; olp_loss
-    keeps each label's first place in the oracle's ranking."""
+    ties, which both must order by label; olp_loss keeps each label's
+    first place in the oracle's ranking."""
     base = [l2_normalize(v) for v in make_rng(seed).normal(size=(4, 3))]
     dictionary = FeatureDictionary(25, 3)
     dictionary.push([base[k] for k, _ in stored], [lab for _, lab in stored])
