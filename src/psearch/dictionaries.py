@@ -33,9 +33,9 @@ class HyperParams:
     def __post_init__(self):
         # written so that NaN fails every comparison; inf fails the upper bounds
         if not (0 <= self.alpha < math.inf and 0 <= self.beta < math.inf):
-            raise InvalidParams("alpha and beta must be >= 0")
+            raise InvalidParams("alpha and beta must be finite and >= 0")
         if not 0 < self.lam < math.inf:
-            raise InvalidParams("lambda must be > 0")
+            raise InvalidParams("lambda must be finite and > 0")
         if not (0.0 < self.phi < 1.0):
             raise InvalidParams("phi must be in (0, 1)")
         if not self.pool_size >= 1:
@@ -134,18 +134,24 @@ class ClassCenterTable:
         if labels.size == 0:
             return 0
         # round r blends the r-th row of every label, so rows of one label go in row order
-        order = np.argsort(labels, kind="stable")
+        order = labels.argsort(kind="stable")
+        ordered = labels[order]
         occurrence = np.empty_like(order)
-        occurrence[order] = np.arange(labels.size) - np.searchsorted(labels[order], labels[order])
+        occurrence[order] = np.arange(labels.size) - ordered.searchsorted(ordered)
         degenerate = 0
         for r in range(occurrence.max() + 1):
-            rows = np.flatnonzero(occurrence == r)
+            rows = (occurrence == r).nonzero()[0]
             lab, x = labels[rows], features[rows]
-            raw = np.where(self.seen[lab, None],
-                           self.phi * self.centers[lab] + (1.0 - self.phi) * x, x)
+            seen = self.seen[lab]
+            raw = self.phi * self.centers[lab] + (1.0 - self.phi) * x
+            if not seen.all():  # an unseen label installs its row as given
+                raw[~seen] = x[~seen]
             norm = np.sqrt(np.einsum("ij,ij->i", raw, raw))
             ok = norm >= ZERO_NORM_EPS
-            self.centers[lab[ok]] = raw[ok] / norm[ok, None]
-            self.seen[lab[ok]] = True
-            degenerate += int(np.count_nonzero(~ok))
+            if not ok.all():  # a degenerate row leaves its label as it was
+                degenerate += int(ok.size - np.count_nonzero(ok))
+                lab, raw, norm = lab[ok], raw[ok], norm[ok]
+            raw /= norm[:, None]
+            self.centers[lab] = raw
+            self.seen[lab] = True
         return degenerate

@@ -47,6 +47,9 @@ LOSS_TERMS = {
     "contrastive": ("contrastive", None),
 }
 LOSS_CHOICES = tuple(LOSS_TERMS)
+# the terms that give a gradient to rows without an identity label: hep
+# scores backgrounds, triplet takes unlabeled rows as negatives
+UNLABELED_GRAD_TERMS = frozenset({"hep", "triplet"})
 IMAGES_PER_ITER = (2, 4, 8)
 
 
@@ -75,9 +78,15 @@ def check_world(num_identities: int, latent_dim: int, obs_dim: int, sigma_view: 
     if obs_dim < 2 * latent_dim:
         raise InvalidParams("obs_dim: must be >= 2 * latent_dim for disjoint subspaces")
     if not (0 <= sigma_view < math.inf and 0 <= sigma_noise < math.inf):
-        raise InvalidParams("sigma_view, sigma_noise: must be >= 0")
+        raise InvalidParams("sigma_view, sigma_noise: must be finite and >= 0")
     if not (0 <= unlabeled_fraction <= 1 and 0 <= background_fraction <= 1):
         raise InvalidParams("unlabeled_fraction, background_fraction: must be in [0, 1]")
+
+
+def check_proposals(proposals_per_image: int) -> None:
+    """The proposal count train() and sample_image_pair take; InvalidParams otherwise."""
+    if proposals_per_image < 1:
+        raise InvalidParams("proposals_per_image: must be >= 1")
 
 
 def check_training(loss_choice: str, images_per_iter: int, proposals_per_image: int,
@@ -85,8 +94,7 @@ def check_training(loss_choice: str, images_per_iter: int, proposals_per_image: 
     """The training settings train() runs with; InvalidParams otherwise."""
     if images_per_iter not in IMAGES_PER_ITER:
         raise InvalidParams(f"images_per_iter: must be one of {IMAGES_PER_ITER}")
-    if proposals_per_image < 1:
-        raise InvalidParams("proposals_per_image: must be >= 1")
+    check_proposals(proposals_per_image)
     if iters < 1:
         raise InvalidParams("iters: must be >= 1")
     if dict_multiplier < 1:
@@ -179,8 +187,10 @@ def sample_image_pair(
     then one normal block with a row per background. This order must not
     change: every training stream depends on it. Unlabeled persons take
     their normalised prototype row; all rows of an image share its camera
-    offset. The name stays because perfbench's tracer looks it up.
+    offset. A proposal count below 1 raises InvalidParams before any draw.
+    The name stays because perfbench's tracer looks it up.
     """
+    check_proposals(proposals_per_image)
     n, dim, images = proposals_per_image, world.latent_dim, 2 * pairs
     labels = np.empty((images, n), dtype=np.int64)
     labels[0::2, 0] = labels[1::2, 0] = rng.integers(world.num_identities, size=pairs)
@@ -272,7 +282,7 @@ class Schedule:
     def __post_init__(self):
         # written so that NaN fails every comparison; inf fails the upper bound
         if not (0 <= self.lr_initial < math.inf and 0 <= self.lr_final < math.inf):
-            raise InvalidParams("lr_initial, lr_final: must be >= 0")
+            raise InvalidParams("lr_initial, lr_final: must be finite and >= 0")
         if not (0.0 <= self.drop_frac <= 1.0):
             raise InvalidParams("lr_drop_frac: must be in [0, 1]")
 
@@ -296,10 +306,12 @@ def train(
 ) -> tuple[ToyEncoder, list[TrainLogRow]]:
     """Per iteration: one sampler call draws every image, then encode,
     the loss alpha * metric + beta * identity, an SGD step through the
-    normalization Jacobian, and one dictionary push (olp, the only metric
-    term that reads the dictionary). c2hep updates the centers twice:
-    before the loss it installs unseen labels from their first rows, which
-    c2hep_loss needs, and after the SGD step it blends in every labeled row.
+    normalization Jacobian (of the labeled rows only, unless a term in
+    UNLABELED_GRAD_TERMS is chosen), and one dictionary push (olp, the only
+    metric term that reads the dictionary). c2hep updates the centers
+    twice: before the loss it installs unseen labels from their first rows,
+    which c2hep_loss needs, and after the SGD step it blends in every
+    labeled row.
 
     An iteration is a few arrays: the sampled observation and label
     matrices, the feature matrix X (one row per proposal), its labels
@@ -312,6 +324,8 @@ def train(
     """
     check_training(loss_choice, images_per_iter, proposals_per_image, iters, dict_multiplier)
     metric, identity = LOSS_TERMS[loss_choice]
+    # without those terms only labeled rows get a gradient: olp anchors, c2hep, contrastive
+    labeled_grads_only = UNLABELED_GRAD_TERMS.isdisjoint((metric, identity))
 
     capacity = dict_multiplier * proposals_per_image * images_per_iter
     # dict_size logs the person rows a dictionary holds, or would hold. The
@@ -341,6 +355,7 @@ def train(
                 raise DivergenceDetected(f"zero or non-finite features at iteration {it}")
             person = (y != LABEL_BACKGROUND).nonzero()[0]
             labeled = (y >= 0).nonzero()[0]
+            y_lab = y[labeled]
             G = np.zeros(X.shape)
 
             if metric == "olp":
@@ -356,16 +371,17 @@ def train(
 
             if identity is not None:
                 pool = select_priority_pool(
-                    y[labeled], hard_ranked, hp.pool_size, hp.top_negatives,
+                    y_lab, hard_ranked, hp.pool_size, hp.top_negatives,
                     world.num_identities, rng, extra_labels=extra,
                 )
                 pool_len = len(pool)
                 overfull += pool_len > hp.pool_size
                 if identity == "c2hep":
-                    labs, first = np.unique(y[labeled], return_index=True)
-                    fresh = labeled[first[~centers.seen[labs]]]
-                    degenerate += centers.update(y[fresh], X[fresh])
-                    id_val, grads = c2hep_loss(X[labeled], y[labeled], pool, centers, hp.lam)
+                    if not centers.seen[y_lab].all():
+                        labs, first = np.unique(y_lab, return_index=True)
+                        fresh = labeled[first[~centers.seen[labs]]]
+                        degenerate += centers.update(y[fresh], X[fresh])
+                    id_val, grads = c2hep_loss(X[labeled], y_lab, pool, centers, hp.lam)
                     G[labeled] += hp.beta * grads
                 elif identity == "hep":
                     # identities, plus backgrounds as class bg_class; unlabeled persons skipped
@@ -386,6 +402,8 @@ def train(
             if not math.isfinite(total):
                 raise DivergenceDetected(f"non-finite total loss at iteration {it}")
 
+            if labeled_grads_only:  # the other rows of G are zero and add nothing
+                cache, G = (obs[labeled], X[labeled], cache[2][labeled]), G[labeled]
             dW, db = encoder.backward(cache, G)
             encoder.W -= np.multiply(dW, lr, out=dW)
             encoder.b -= lr * db
@@ -395,7 +413,7 @@ def train(
                 dictionary.push(X[person], y[person])
             stored = min(stored + person.size, capacity)
             if identity == "c2hep":
-                degenerate += centers.update(y[labeled], X[labeled])
+                degenerate += centers.update(y_lab, X[labeled])
 
             log_rows.append(TrainLogRow(
                 iteration=it, olp=metric_val, id_loss=id_val, total=total,

@@ -161,11 +161,16 @@ class TestCliRun:
         (["--proposals-per-image", "0"], "proposals_per_image: must be >= 1"),
         (["--phi", "1.5"], "phi must be in (0, 1)"),
         (["--iters", "0"], "iters: must be >= 1"),
-        (["--lr-final", "-0.5"], "lr_initial, lr_final: must be >= 0"),
+        (["--lr-final", "-0.5"], "lr_initial, lr_final: must be finite and >= 0"),
         (["--lr-drop-frac", "1.5"], "lr_drop_frac: must be in [0, 1]"),
         # the first broken rule is reported, in validate()'s order
         (["--lr-final", "-0.5", "--phi", "1.5"], "phi must be in (0, 1)"),
-        (["--lr-final", "-0.5", "--query-count", "0"], "lr_initial, lr_final: must be >= 0"),
+        (["--lr-final", "-0.5", "--query-count", "0"], "lr_initial, lr_final: must be finite and >= 0"),
+        # an infinite value is in range but not finite, and the line says so
+        (["--lr-initial", "inf"], "lr_initial, lr_final: must be finite and >= 0"),
+        (["--sigma-view", "inf"], "sigma_view, sigma_noise: must be finite and >= 0"),
+        (["--beta", "inf"], "alpha and beta must be finite and >= 0"),
+        (["--lambda", "inf"], "lambda must be finite and > 0"),
     ])
     def test_training_setting_error_line(self, tmp_path, capsys, flags, message):
         rc = main(["run", *TINY, *flags, "--out-dir", str(tmp_path / "out")])

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from psearch.dictionaries import ClassCenterTable, FeatureDictionary, HyperParams
 from psearch.errors import DimensionMismatch, InvalidLabel, InvalidParams
-from psearch.numerics import l2_normalize, make_rng
+from psearch.numerics import ZERO_NORM_EPS, l2_normalize, make_rng
 
 
 def unit(*comps):
@@ -113,6 +113,30 @@ def reference_centers(labels, features, phi):
     return centers, degenerate
 
 
+def rounds_before_lean(table, labels, features):
+    """ClassCenterTable.update's rounds as they were before they skipped
+    the unseen and degenerate work: both np.where branches and the
+    ok-masked copies in every round."""
+    labels = np.asarray(labels, dtype=np.int64)
+    if labels.size == 0:
+        return 0
+    order = np.argsort(labels, kind="stable")
+    occurrence = np.empty_like(order)
+    occurrence[order] = np.arange(labels.size) - np.searchsorted(labels[order], labels[order])
+    degenerate = 0
+    for r in range(occurrence.max() + 1):
+        rows = np.flatnonzero(occurrence == r)
+        lab, x = labels[rows], features[rows]
+        raw = np.where(table.seen[lab, None],
+                       table.phi * table.centers[lab] + (1.0 - table.phi) * x, x)
+        norm = np.sqrt(np.einsum("ij,ij->i", raw, raw))
+        ok = norm >= ZERO_NORM_EPS
+        table.centers[lab[ok]] = raw[ok] / norm[ok, None]
+        table.seen[lab[ok]] = True
+        degenerate += int(np.count_nonzero(~ok))
+    return degenerate
+
+
 class TestClassCenterTable:
     def test_blend_and_renormalize(self):
         t = ClassCenterTable(num_classes=4, dim=2, phi=0.5)
@@ -182,8 +206,10 @@ class TestClassCenterTable:
            st.lists(st.integers(0, 6), max_size=6))
     @settings(max_examples=100, deadline=None)
     def test_batches_match_per_row_reference(self, seed, phi, sizes):
-        """Random batch splits, labels repeated inside a batch and
-        antipodal rows: one update per batch equals one blend per row."""
+        """Random batch splits, labels repeated inside a batch, antipodal
+        rows and zero rows: one update per batch equals one blend per row,
+        and equals the earlier rounds byte for byte, degenerate counts
+        included."""
         rng = make_rng(seed)
         labels = rng.integers(4, size=sum(sizes))
         features = rng.normal(size=(len(labels), 3))
@@ -193,10 +219,18 @@ class TestClassCenterTable:
         flip = np.flatnonzero(rng.random(len(labels)) < 0.3)
         flip = flip[flip > 0]
         labels[flip], features[flip] = labels[flip - 1], -features[flip - 1]
+        # a zero row cannot install its label
+        features[rng.random(len(labels)) < 0.1] = 0.0
         t = ClassCenterTable(num_classes=5, dim=3, phi=phi)
+        before = ClassCenterTable(num_classes=5, dim=3, phi=phi)
         degenerate, start = 0, 0
         for n in sizes:
-            degenerate += t.update(labels[start:start + n], features[start:start + n])
+            batch = labels[start:start + n], features[start:start + n]
+            count = t.update(*batch)
+            assert count == rounds_before_lean(before, *batch)
+            assert t.centers.tobytes() == before.centers.tobytes()
+            assert np.array_equal(t.seen, before.seen)
+            degenerate += count
             start += n
         want, want_degenerate = reference_centers(labels, features, phi)
         assert degenerate == want_degenerate
@@ -240,3 +274,14 @@ class TestHyperParams:
     def test_invalid(self, kwargs):
         with pytest.raises(InvalidParams):
             HyperParams(**kwargs)
+
+    @pytest.mark.parametrize("kwargs,message", [
+        ({"alpha": float("inf")}, "alpha and beta must be finite and >= 0"),
+        ({"beta": -1.0}, "alpha and beta must be finite and >= 0"),
+        ({"lam": float("inf")}, "lambda must be finite and > 0"),
+        ({"lam": 0.0}, "lambda must be finite and > 0"),
+    ])
+    def test_range_message(self, kwargs, message):
+        with pytest.raises(InvalidParams) as err:
+            HyperParams(**kwargs)
+        assert str(err.value) == message

@@ -20,6 +20,8 @@ from psearch.numerics import check_gradient, l2_normalize, make_rng
 from psearch.pairing import build_subgroups
 from psearch.runner import train_from_config
 from psearch.simulator import (
+    EMBED_DIM,
+    IMAGES_PER_ITER,
     ClassifierHead,
     Schedule,
     ToyEncoder,
@@ -49,7 +51,7 @@ class TestWorld:
     @pytest.mark.parametrize("value", [float("inf"), float("-inf")])
     @pytest.mark.parametrize("field", ["sigma_view", "sigma_noise"])
     def test_infinite_sigma_rejected(self, field, value):
-        with pytest.raises(InvalidParams, match=r"^sigma_view, sigma_noise: must be >= 0$"):
+        with pytest.raises(InvalidParams, match=r"^sigma_view, sigma_noise: must be finite and >= 0$"):
             generate_world(10, latent_dim=4, obs_dim=16, **{field: value})
 
     def test_prototypes_unit_and_distinct(self):
@@ -170,6 +172,14 @@ class TestSampleImagePair:
             assert np.all(labels[0::2, 0] == labels[1::2, 0])
             assert np.all(labels[:, 0] >= 0)
 
+    @pytest.mark.parametrize("proposals", [0, -1])
+    def test_no_proposals_rejected_before_any_draw(self, proposals):
+        w, rng = generate_world(20, seed=4), make_rng(4)
+        state = rng.bit_generator.state
+        with pytest.raises(InvalidParams, match=r"^proposals_per_image: must be >= 1$"):
+            sample_image_pair(w, 1, proposals, rng)
+        assert rng.bit_generator.state == state
+
     def test_zero_unlabeled_fraction(self):
         w = generate_world(20, unlabeled_fraction=0.0, seed=4)
         rng = make_rng(4)
@@ -265,6 +275,24 @@ class TestToyEncoder:
         assert check_gradient(lambda b: loss(enc.W, b), enc.b, db) < 1e-6
 
 
+@given(seed=st.integers(0, 2**32 - 1), images=st.sampled_from(IMAGES_PER_ITER),
+       share=st.floats(0, 1))
+@settings(max_examples=100, deadline=None)
+def test_backward_over_gradient_rows_equals_every_row(seed, images, share):
+    """At train()'s sizes, back-propagating only the rows of G that carry a
+    gradient gives the same dW and db as every row, when the others are zero."""
+    rng = make_rng(seed)
+    enc = ToyEncoder(128, seed=seed % 97)
+    _, cache = enc.encode(rng.normal(size=(4 * images, 128)))
+    rows = np.flatnonzero(rng.random(4 * images) < share)
+    G = np.zeros((4 * images, EMBED_DIM))
+    G[rows] = rng.normal(size=(rows.size, EMBED_DIM))
+    dW, db = enc.backward(cache, G)
+    obs, x, norm = cache
+    sub_dW, sub_db = enc.backward((obs[rows], x[rows], norm[rows]), G[rows])
+    assert np.array_equal(sub_dW, dW) and np.array_equal(sub_db, db)
+
+
 def test_classifier_head_backward_finite_difference():
     """Scores and gradients of the pool rows of the head only, for a pool
     that leaves classes 1 and 3 out."""
@@ -352,14 +380,14 @@ class TestSchedule:
         assert s.lr_at(99, 100) == 0.001
 
     @pytest.mark.parametrize("fields,message", [
-        ({"lr_initial": -0.5, "lr_final": -0.5}, "lr_initial, lr_final: must be >= 0"),
-        ({"lr_final": float("nan")}, "lr_initial, lr_final: must be >= 0"),
+        ({"lr_initial": -0.5, "lr_final": -0.5}, "lr_initial, lr_final: must be finite and >= 0"),
+        ({"lr_final": float("nan")}, "lr_initial, lr_final: must be finite and >= 0"),
         ({"drop_frac": 1.5}, "lr_drop_frac: must be in [0, 1]"),
         ({"drop_frac": float("nan")}, "lr_drop_frac: must be in [0, 1]"),
-        ({"lr_initial": float("inf")}, "lr_initial, lr_final: must be >= 0"),
-        ({"lr_final": float("inf")}, "lr_initial, lr_final: must be >= 0"),
-        ({"lr_initial": float("-inf")}, "lr_initial, lr_final: must be >= 0"),
-        ({"lr_final": float("-inf")}, "lr_initial, lr_final: must be >= 0"),
+        ({"lr_initial": float("inf")}, "lr_initial, lr_final: must be finite and >= 0"),
+        ({"lr_final": float("inf")}, "lr_initial, lr_final: must be finite and >= 0"),
+        ({"lr_initial": float("-inf")}, "lr_initial, lr_final: must be finite and >= 0"),
+        ({"lr_final": float("-inf")}, "lr_initial, lr_final: must be finite and >= 0"),
     ])
     def test_checks_its_own_fields(self, fields, message):
         with pytest.raises(InvalidParams) as err:
@@ -424,6 +452,31 @@ class TestTrain:
             train(self.small_world(), ToyEncoder(16, 8), HyperParams(), Schedule(),
                   "olp+c2hep", 2, 4, iters, rng)
         assert rng.bit_generator.state == state
+
+    @pytest.mark.parametrize("images", [2, 8])
+    @pytest.mark.parametrize("terms", [(metric, identity)
+                                       for metric in ("olp", "triplet", "contrastive", None)
+                                       for identity in ("c2hep", "hep", None)
+                                       if metric or identity],
+                             ids=lambda terms: "+".join(filter(None, terms)))
+    def test_back_propagating_every_row_changes_no_bit(self, terms, images, monkeypatch):
+        """Only the terms in UNLABELED_GRAD_TERMS give rows without an
+        identity label a gradient: for each pair of terms, the six loss
+        choices and the rest, back-propagating every row, as if every term
+        did, trains the same bits."""
+        monkeypatch.setitem(sim.LOSS_TERMS, "terms", terms)
+
+        def run():
+            world = generate_world(30, sigma_view=1.0, seed=3)
+            enc = ToyEncoder(world.obs_dim, seed=3)
+            _, rows = train(world, enc, HyperParams(), Schedule(0.05, 0.005), "terms",
+                            images, 4, 20, make_rng(3), dict_multiplier=5)
+            return enc.W.tobytes(), enc.b.tobytes(), rows
+
+        lean = run()
+        every_term = {term for pair in sim.LOSS_TERMS.values() for term in pair} - {None}
+        monkeypatch.setattr(sim, "UNLABELED_GRAD_TERMS", frozenset(every_term))
+        assert run() == lean
 
     def test_zero_learning_rate_is_noop(self):
         w = self.small_world()
