@@ -13,7 +13,10 @@ Each rep also gives the sha256 of the repr of its full-precision train rows
 and the final encoder W and b. Equal digests from two checkouts show that
 training is bit-identical, which train.csv's 10 digits cannot; the BLAS
 library may move last bits with its thread count, so run both sides with
-OPENBLAS_NUM_THREADS=1.
+OPENBLAS_NUM_THREADS=1. After the reps, one more train() call, unprofiled,
+gives tracemalloc's peak inside it (numpy reports its buffers to
+tracemalloc, so this count, too, does not depend on load); its digest must
+equal the reps'.
 
 One more config, eval@4000, counts a retrieval pass instead of training:
 build_retrieval_set, evaluate_retrieval and gallery_sweep over 200/1000/4000
@@ -58,22 +61,44 @@ SWEEP = [200, 1000, 4000]
 REPS = 3
 
 
-def profile_train(cfg) -> tuple[float, str]:
-    """cProfile's call count inside the train() call of
-    runner.train_from_config(cfg), per iteration (world and encoder
-    construction are not profiled), and the sha256 of the repr of the
-    train rows and the final W and b."""
-    profile = cProfile.Profile()
+def train_digest(cfg, call) -> str:
+    """runner.train_from_config(cfg) with its train() call run through
+    call(train, *args, **kwargs); the sha256 of the repr of the train rows
+    and the final W and b."""
     train = runner.train
-    runner.train = lambda *args, **kwargs: profile.runcall(train, *args, **kwargs)
+    runner.train = lambda *args, **kwargs: call(train, *args, **kwargs)
     try:
         _, encoder, rows = runner.train_from_config(cfg)
     finally:
         runner.train = train
     trained = repr((rows, encoder.W.tolist(), encoder.b.tolist()))
+    return hashlib.sha256(trained.encode()).hexdigest()
+
+
+def profile_train(cfg) -> tuple[float, str]:
+    """cProfile's call count inside the train() call, per iteration (world
+    and encoder construction are not profiled), and the train digest."""
+    profile = cProfile.Profile()
+    digest = train_digest(cfg, profile.runcall)
     # the profiled train() call itself is not an iteration's call
-    return ((pstats.Stats(profile).total_calls - 1) / cfg.iters,
-            hashlib.sha256(trained.encode()).hexdigest())
+    return (pstats.Stats(profile).total_calls - 1) / cfg.iters, digest
+
+
+def traced_train(cfg) -> tuple[int, str]:
+    """tracemalloc's peak bytes inside an unprofiled train() call, and the
+    train digest."""
+    peaks = []
+
+    def traced(train, *args, **kwargs):
+        tracemalloc.start()
+        try:
+            return train(*args, **kwargs)
+        finally:
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+
+    digest = train_digest(cfg, traced)
+    return peaks[0], digest
 
 
 def retrieval_pass(world, encoder, cfg, call=lambda phase, f, *args: f(*args)) -> list:
@@ -128,8 +153,11 @@ def main(argv=None) -> int:
         loss, images = name.split("@")
         cfg = dataclasses.replace(BASE, loss_choice=loss, images_per_iter=int(images))
         counts, digests = zip(*(profile_train(cfg) for _ in range(REPS)))
+        peak, digest = traced_train(cfg)
+        if digest != digests[0]:
+            raise RuntimeError("an unprofiled train() gave another digest")
         print(json.dumps({"config": name, "iters": cfg.iters, "calls_per_iter": counts,
-                          "digests": digests,
+                          "traced_peak_bytes": peak, "digests": digests,
                           "repeats": len(set(counts)) == len(set(digests)) == 1}), flush=True)
     return 0
 

@@ -238,8 +238,9 @@ def run_invariant_checks(trials: int = 1000, seed: int = 777) -> list[CheckResul
             batch /= np.linalg.norm(batch, axis=1, keepdims=True)
             d.push(batch, rng.integers(-1, 5, size=len(batch)))
             pushed = np.concatenate([pushed, batch])
-        n = len(pushed)
-        if len(d) != min(cap, n) or not np.array_equal(d.matrix()[0], pushed[n - len(d):]):
+        n, held = len(pushed), len(d)
+        want = np.roll(pushed[n - held:], n - held, axis=0)  # the last rows, row t in slot t % cap
+        if held != min(cap, n) or not np.array_equal(d.matrix()[0], want):
             ok = False
             break
     results.append(CheckResult("fifo-capacity-and-recency", ok, f"{trials} trials"))

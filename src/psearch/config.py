@@ -59,7 +59,7 @@ class ExperimentConfig(HyperParams):
         if self.distractors < 0:
             raise ConfigError("distractors: must be >= 0")
         for part in self.gallery_sizes.split(","):
-            if part.strip() and not part.strip().isdigit():
+            if part.strip() and not part.strip().isdecimal():
                 raise ConfigError(f"gallery_sizes: bad entry {part.strip()!r}")
         # a swept gallery keeps every item of a query identity (see build_retrieval_set)
         relevant = min(self.query_count, self.num_identities) * self.gallery_per_identity

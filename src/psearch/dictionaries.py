@@ -55,27 +55,23 @@ def _rows_for(labels: np.ndarray, features, dim: int) -> np.ndarray:
 
 
 class FeatureDictionary:
-    """Fixed-capacity FIFO buffer of (feature, label) entries.
-
-    Backed by a mirrored ring buffer: slot s is stored twice, at rows s
-    and s + capacity, so the entries in insertion order are always one
-    contiguous slice, read in place without a copy.
-    """
+    """Fixed-capacity ring buffer of (feature, label) entries, read in
+    slot order: row t pushed is stored once, in slot t % capacity,
+    overwriting the row pushed capacity rows before it."""
 
     def __init__(self, capacity: int, dim: int):
         """The buffer of capacity rows of width dim is allocated now."""
         self.capacity = capacity
-        self._feats = np.empty((2 * capacity, dim))
-        self._labels = np.empty(2 * capacity, dtype=np.int64)
-        self._pushed = 0  # rows ever pushed; row t lives in slot t % capacity
+        self._feats = np.empty((capacity, dim))
+        self._labels = np.empty(capacity, dtype=np.int64)
+        self._pushed = 0  # rows ever pushed
 
     def __len__(self) -> int:
         return min(self._pushed, self.capacity)
 
     def push(self, features, labels) -> None:
-        """Append one feature row per label, evicting the oldest entries
-        when over capacity. Rows must be unit-norm; they are stored as
-        given."""
+        """Store one feature row per label, each over the oldest entry
+        when full. Rows must be unit-norm; they are stored as given."""
         labels = np.asarray(labels, dtype=np.int64)
         if labels.size == 0:
             return
@@ -84,22 +80,20 @@ class FeatureDictionary:
         features = _rows_for(labels, features, self._feats.shape[1])
         # of a push larger than the buffer only its last `capacity` rows survive
         slots = (self._pushed + np.arange(labels.size))[-self.capacity:] % self.capacity
-        self._feats[slots] = self._feats[slots + self.capacity] = features[-self.capacity:]
-        self._labels[slots] = self._labels[slots + self.capacity] = labels[-self.capacity:]
+        self._feats[slots] = features[-self.capacity:]
+        self._labels[slots] = labels[-self.capacity:]
         self._pushed += labels.size
 
     def matrix(self):
-        """Every entry in insertion order: (feature matrix, label array),
-        read-only views of the buffer."""
-        start = max(self._pushed - self.capacity, 0) % self.capacity
-        feats, labels = self._feats[start:start + len(self)], self._labels[start:start + len(self)]
+        """Every entry in slot order: (feature matrix, label array),
+        read-only views of the buffer's first len() slots."""
+        feats, labels = self._feats[:len(self)], self._labels[:len(self)]
         feats.flags.writeable = labels.flags.writeable = False
         return feats, labels
 
     def negatives(self, anchor_label: int):
-        """Features of entries whose label differs from anchor_label.
-
-        Entries labeled -1 always qualify. Insertion order preserved.
+        """Features of entries whose label differs from anchor_label, in
+        slot order. Entries labeled -1 always qualify.
         Returns (feature matrix, label list).
         """
         if anchor_label < 0:

@@ -34,9 +34,9 @@ def olp_loss(anchors, positives, anchor_labels, negatives, negative_labels) -> O
     """Softmax metric loss: each positive pair against the dictionary.
 
     Row i of anchors/positives is one subgroup. negatives is the whole
-    dictionary in insertion order; its entries labeled anchor_labels[i]
-    are masked out of row i (entries labeled -1 always qualify). Per
-    subgroup the positive-pair similarity competes with every remaining
+    dictionary; its entries labeled anchor_labels[i] are masked out of
+    row i (entries labeled -1 always qualify). Per subgroup the
+    positive-pair similarity competes with every remaining
     negative-pair similarity in one softmax; the loss is the mean
     negative log of the positive share. The anchor gradient is
     (q - 1) * positive + sum_k q_hat_k * negative_k. hard_ranked lists each

@@ -69,6 +69,7 @@ class TestConfig:
         ("images_per_iter", "3"),
         ("loss_choice", "magnet"),
         ("gallery_sizes", "10,x"),
+        ("gallery_sizes", "10,²"),
         ("phi", "1.5"),
         ("num_identities", "1"),
     ])
@@ -182,7 +183,7 @@ class TestCliRun:
         assert rc == 2
 
     # TINY holds 5 query identities x 2 gallery items + 10 distractors
-    @pytest.mark.parametrize("size", ["5", "21"])
+    @pytest.mark.parametrize("size", ["5", "21", "²"])
     def test_gallery_size_out_of_range_fails_before_training(self, tmp_path, capsys, size):
         out = tmp_path / "out"
         rc = main(["run", *TINY, "--gallery-sizes", size, "--out-dir", str(out)])

@@ -1,4 +1,4 @@
-from collections import deque
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,10 +22,10 @@ class TestFeatureDictionary:
         d = FeatureDictionary(2, 2)
         a, b, c = unit(1, 0), unit(0, 1), unit(1, 1)
         d.push(rows(a, b), [0, 1])
-        d.push(rows(c), [2])
+        d.push(rows(c), [2])  # row 2 goes to slot 2 % 2 = 0, over a
         feats, labels = d.matrix()
-        assert labels.tolist() == [1, 2]
-        assert np.array_equal(feats, rows(b, c))
+        assert labels.tolist() == [2, 1]
+        assert np.array_equal(feats, rows(c, b))
 
     def test_unlabeled_entry_usable_as_negative(self):
         d = FeatureDictionary(4, 2)
@@ -72,8 +72,10 @@ class TestFeatureDictionary:
         for lab in labels:
             d.push(l2_normalize(rng.normal(size=3))[None], [lab])
         assert len(d) == min(capacity, len(labels))
-        stored = d.matrix()[1].tolist()
-        assert stored == labels[-len(stored):]
+        slots = [None] * capacity
+        for t, lab in enumerate(labels):
+            slots[t % capacity] = lab
+        assert d.matrix()[1].tolist() == slots[:len(d)]
 
     @given(st.integers(0, 2**32 - 1), st.integers(1, 10),
            st.lists(st.integers(0, 25), max_size=8))
@@ -81,23 +83,46 @@ class TestFeatureDictionary:
     def test_batches_keep_last_capacity_rows(self, seed, capacity, sizes):
         """Pushing batches of any size, one larger than the buffer
         included, leaves the last `capacity` rows, stored as given: after
-        every push (so across wrap-arounds) matrix() equals a per-row FIFO
-        reference, and is a read-only view of the buffer, not a copy."""
+        every push (so across wrap-arounds) matrix() equals a per-row ring
+        reference, row t in slot t % capacity, and is a read-only view of
+        the buffer, not a copy."""
         rng = make_rng(seed)
         d = FeatureDictionary(capacity, 3)
-        reference = deque(maxlen=capacity)
+        reference, pushed = [None] * capacity, 0
         for n in sizes:
             batch, batch_labels = rng.normal(size=(n, 3)), rng.integers(-1, 6, size=n)
             d.push(batch, batch_labels)
-            reference.extend(zip(batch, batch_labels))
+            for entry in zip(batch, batch_labels):
+                reference[pushed % capacity] = entry
+                pushed += 1
+            held = reference[:min(pushed, capacity)]
             got_feats, got_labels = d.matrix()
-            assert len(d) == len(reference)
-            assert np.array_equal(got_feats.reshape(-1, 3), np.reshape([f for f, _ in reference], (-1, 3)))
-            assert got_labels.tolist() == [lab for _, lab in reference]
-            if reference:
+            assert len(d) == len(held)
+            assert np.array_equal(got_feats.reshape(-1, 3), np.reshape([f for f, _ in held], (-1, 3)))
+            assert got_labels.tolist() == [lab for _, lab in held]
+            if held:
                 assert np.shares_memory(got_feats, d._feats)
                 assert np.shares_memory(got_labels, d._labels)
                 assert not (got_feats.flags.writeable or got_labels.flags.writeable)
+
+    def test_memory_stays_near_one_ring_matrix(self):
+        """Filling a ring of 1280 rows of width 256 past a wrap, in pushes
+        of 100 rows each read back with matrix(), peaks at most 1.1 ring
+        matrices of traced memory: each row is stored once and read in
+        place."""
+        feats = make_rng(0).normal(size=(1600, 256))
+        feats /= np.linalg.norm(feats, axis=1, keepdims=True)
+        labels = np.arange(1600) % 50 - 1
+        tracemalloc.start()
+        try:
+            d = FeatureDictionary(1280, 256)
+            for i in range(0, 1600, 100):
+                d.push(feats[i:i + 100], labels[i:i + 100])
+                d.matrix()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / (1280 * 256 * 8) <= 1.1
 
 
 def reference_centers(labels, features, phi):
