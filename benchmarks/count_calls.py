@@ -7,7 +7,7 @@ records inside its train() call, Python functions and the builtins and numpy
 functions they call, divided by the iteration count. Unlike a timing, the
 count does not depend on machine load, so two versions of the program can be
 compared in one run. It omits work done inside native code and says nothing
-about time.
+about time. One unprofiled one-iteration train() runs before any count.
 
 Each rep also gives the sha256 of the repr of its full-precision train rows
 and the final encoder W and b. Equal digests from two checkouts show that
@@ -141,11 +141,19 @@ def count_retrieval() -> dict:
             "digests": digests, "repeats": len(set(map(repr, calls))) == len(set(digests)) == 1}
 
 
+def warm_up() -> None:
+    """One unprofiled one-iteration train(), so that a cache the process
+    fills on a first call (abc's subclass cache, filled by the first
+    Generator.spawn) counts in no rep."""
+    runner.train_from_config(dataclasses.replace(BASE, iters=1))
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--config", action="append", choices=CONFIGS,
                         help=f"loss@images_per_iter or {EVAL_CONFIG}; repeatable (default: all)")
     args = parser.parse_args(argv)
+    warm_up()
     for name in args.config or CONFIGS:
         if name == EVAL_CONFIG:
             print(json.dumps(count_retrieval()), flush=True)

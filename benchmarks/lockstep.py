@@ -15,10 +15,13 @@ not counted. The side that goes first alternates from seed to seed.
 
 The configuration is a perfbench workload's training run (eval-gallery-4k's
 is its set-up training). Per seed it prints one JSON line with each side's
-busy seconds, the ratio other / this (above 1: this checkout is faster) and
-whether the two sides' full-precision train rows and final W, b have equal
-digests; then one summary line with the median ratio, its quartiles and the
-number of seeds this checkout won. BLAS runs on one thread on both sides.
+busy seconds, the ratio other / this (above 1: this checkout is faster), each
+side's 50th and 98th percentile step in ms (from the stamped Schedule's
+steps_ms, one per iteration) and whether the two sides' full-precision train
+rows and final W, b have equal digests; then one summary line with the
+median ratio, its quartiles, the number of seeds this checkout won and the
+median per-seed ratios other / this of the p50 and p98 steps. BLAS runs on
+one thread on both sides.
 perfbench/ is read from this checkout and is not changed.
 """
 
@@ -35,6 +38,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PERFBENCH = ROOT / "perfbench"
+STEP_PERCENTILES = (50, 98)
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -66,7 +70,9 @@ def side(workload: str, seed: int, first: bool, read_fd: int, write_fd: int) -> 
     finally:
         baton.finish()
     trained = repr((rows, encoder.W.tolist(), encoder.b.tolist()))
+    cuts = statistics.quantiles(schedules[0].steps_ms, n=100, method="inclusive")
     print(json.dumps({"busy_s": schedules[0].busy_s,
+                      "step_ms": {f"p{q}": cuts[q - 1] for q in STEP_PERCENTILES},
                       "digest": hashlib.sha256(trained.encode()).hexdigest()}))
     return 0
 
@@ -115,17 +121,22 @@ def main(argv=None) -> int:
 
     pin_to_one_cpu()
     checkouts = [ROOT, args.other.resolve()]
-    ratios = []
+    ratios, step_ratios = [], {f"p{q}": [] for q in STEP_PERCENTILES}
     for k, seed in enumerate(parse_seeds(args.seeds)):
         this, other = run_pair(checkouts, args.workload, seed, first=k % 2)
         ratios.append(other["busy_s"] / this["busy_s"])
+        for key, cut in step_ratios.items():
+            cut.append(other["step_ms"][key] / this["step_ms"][key])
         print(json.dumps({"seed": seed, "this_first": k % 2 == 0, "this_s": this["busy_s"],
                           "other_s": other["busy_s"], "ratio": ratios[-1],
+                          "this_step_ms": this["step_ms"], "other_step_ms": other["step_ms"],
                           "digests_equal": this["digest"] == other["digest"]}), flush=True)
     q1, median, q3 = (statistics.quantiles(ratios, n=4, method="inclusive")
                       if len(ratios) > 1 else ratios * 3)
     print(json.dumps({"workload": args.workload, "seeds": len(ratios), "median": median,
-                      "q1": q1, "q3": q3, "wins": sum(r > 1 for r in ratios)}))
+                      "q1": q1, "q3": q3, "wins": sum(r > 1 for r in ratios),
+                      **{f"{key}_step_ratio": statistics.median(cut)
+                         for key, cut in step_ratios.items()}}))
     return 0
 
 

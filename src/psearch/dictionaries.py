@@ -46,6 +46,14 @@ class HyperParams:
             raise InvalidParams("triplet_margin must be in [0, 2], contrastive_margin in [-1, 1]")
 
 
+def _int_labels(labels) -> np.ndarray:
+    """labels as an int64 array; InvalidLabel for a value that is not an integer."""
+    labels = np.asarray(labels)
+    if labels.size and labels.dtype.kind not in "iu":
+        raise InvalidLabel(f"labels must be integers, got {labels.dtype}")
+    return labels.astype(np.int64, copy=False)
+
+
 def _rows_for(labels: np.ndarray, features, dim: int) -> np.ndarray:
     """features as a float matrix with one row of width dim per label."""
     features = np.asarray(features, dtype=np.float64)
@@ -72,7 +80,7 @@ class FeatureDictionary:
     def push(self, features, labels) -> None:
         """Store one feature row per label, each over the oldest entry
         when full. Rows must be unit-norm; they are stored as given."""
-        labels = np.asarray(labels, dtype=np.int64)
+        labels = _int_labels(labels)
         if labels.size == 0:
             return
         if labels.min() < LABEL_UNIDENTIFIED:
@@ -121,7 +129,7 @@ class ClassCenterTable:
         The first row of an unseen label installs it. A blend that cancels
         to (near) zero keeps the old center; returns how many rows did.
         """
-        labels = np.asarray(labels, dtype=np.int64)
+        labels = _int_labels(labels)
         if labels.size and not (labels.min() >= 0 and labels.max() < self.num_classes):
             raise InvalidLabel(f"labels {labels} outside [0, {self.num_classes})")
         features = _rows_for(labels, features, self.centers.shape[1])

@@ -127,11 +127,13 @@ def c2hep_loss(
     pooled = pooled[table.seen[pooled]]
     if pooled.size == 0:
         raise EmptyPool("no pooled class has an initialized center")
-    center_mat = table.centers[pooled]
-    center_mat /= np.linalg.norm(center_mat, axis=1, keepdims=True)  # scores stay cosines
-    scores = lam * (np.asarray(features, dtype=np.float64) @ center_mat.T)
+    centers = table.centers[pooled]
+    # each score column is divided by its center's norm: lam * cosines, centers read as stored
+    scale = lam / np.sqrt(np.einsum("ij,ij->i", centers, centers))
+    scores = (np.asarray(features, dtype=np.float64) @ centers.T) * scale
     loss, dscores = _pooled_cross_entropy(scores, labels, pooled, UninitializedCenter)
-    return loss, lam * (dscores @ center_mat)
+    dscores *= scale
+    return loss, dscores @ centers
 
 
 def triplet_loss(features, labels, margin: float = 0.3) -> tuple[float, np.ndarray]:

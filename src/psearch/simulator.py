@@ -51,6 +51,9 @@ LOSS_CHOICES = tuple(LOSS_TERMS)
 # scores backgrounds, triplet takes unlabeled rows as negatives
 UNLABELED_GRAD_TERMS = frozenset({"hep", "triplet"})
 IMAGES_PER_ITER = (2, 4, 8)
+# training iterations drawn per sampler call: fewer generator calls, but a
+# block's whole draw lands in one step, so a larger block slows the slowest steps
+SAMPLE_BLOCK = 2
 
 
 @dataclass
@@ -173,9 +176,10 @@ def sample_image_pair(
     proposals_per_image: int,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """All image pairs of one iteration, as observation rows (image by
-    image) and a (2 * pairs, proposals_per_image) label matrix. Images
-    2t and 2t+1 form pair t; their first proposals share one identity.
+    """Image pairs as observation rows (image by image) and a
+    (2 * pairs, proposals_per_image) label matrix. Images 2t and 2t+1
+    form pair t; their first proposals share one identity. train() draws
+    the pairs of SAMPLE_BLOCK iterations in one call (sample_iterations).
 
     Each other proposal is a background with probability
     background_fraction, else an unlabeled person with probability
@@ -207,6 +211,22 @@ def sample_image_pair(
     background = labels == LABEL_BACKGROUND
     obs[background] = rng.normal(size=(np.count_nonzero(background), world.obs_dim))
     return obs.reshape(-1, world.obs_dim), labels
+
+
+def sample_iterations(world: SyntheticWorld, images_per_iter: int, proposals_per_image: int,
+                      iters: int, rng: np.random.Generator):
+    """Each iteration's observation rows and label matrix, in iteration
+    order: one sample_image_pair call on rng draws the images of
+    SAMPLE_BLOCK iterations (the last call those that are left), and
+    iteration k of a block reads images k * images_per_iter onwards."""
+    rows = images_per_iter * proposals_per_image
+    for start in range(0, iters, SAMPLE_BLOCK):
+        block = min(SAMPLE_BLOCK, iters - start)
+        obs, labels = sample_image_pair(world, block * images_per_iter // 2,
+                                        proposals_per_image, rng)
+        for k in range(block):
+            yield (obs[k * rows:(k + 1) * rows],
+                   labels[k * images_per_iter:(k + 1) * images_per_iter])
 
 
 class ToyEncoder:
@@ -304,20 +324,25 @@ def train(
     rng: np.random.Generator,
     dict_multiplier: int = 40,
 ) -> tuple[ToyEncoder, list[TrainLogRow]]:
-    """Per iteration: one sampler call draws every image, then encode,
-    the loss alpha * metric + beta * identity, an SGD step through the
+    """Per iteration: the iteration's images, then encode, the loss
+    alpha * metric + beta * identity, an SGD step through the
     normalization Jacobian (of the labeled rows only, unless a term in
     UNLABELED_GRAD_TERMS is chosen), and one dictionary push (olp, the only
-    metric term that reads the dictionary). c2hep updates the centers
-    twice: before the loss it installs unseen labels from their first rows,
-    which c2hep_loss needs, and after the SGD step it blends in every
-    labeled row.
+    metric term that reads the dictionary). The images come from
+    sample_iterations on the sampler's own generator, rng.spawn(1)[0],
+    made once per run: one sample_image_pair call draws the images of
+    SAMPLE_BLOCK iterations, and each iteration reads its slice. c2hep
+    updates the centers twice: before the loss it installs unseen labels
+    from their first rows, which c2hep_loss needs, and after the SGD step
+    it blends in every labeled row.
 
     An iteration is a few arrays: the sampled observation and label
     matrices, the feature matrix X (one row per proposal), its labels
     y = labels.ravel(), one read of the dictionary, and one gradient
     matrix G that every loss term adds into. Center updates that cancel
-    keep the old center and are logged once per run. The sampler gives the
+    keep the old center and are logged once per run. Only the priority
+    pool's random fill reads rng itself, so every loss choice at one width
+    trains on the same images for one rng seed. The sampler gives the
     first proposals of each image pair one shared identity, so every
     iteration has at least two subgroups, labeled rows and hep rows per
     pair, and no loss term is ever empty.
@@ -345,9 +370,11 @@ def train(
 
     log_rows: list[TrainLogRow] = []
     with np.errstate(divide="ignore"):  # log(0) gives a non-finite total, reported below
+        draws = sample_iterations(world, images_per_iter, proposals_per_image, iters,
+                                  rng.spawn(1)[0])
         for it in range(iters):
             lr = schedule.lr_at(it, iters)
-            obs, labels = sample_image_pair(world, images_per_iter // 2, proposals_per_image, rng)
+            obs, labels = next(draws)
             y = labels.ravel()
             X, cache = encoder.encode(obs)
             # finite positive norms make finite nonzero rows; an overflowed norm zeroes them

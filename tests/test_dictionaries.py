@@ -277,6 +277,22 @@ def test_one_feature_row_per_label(store, features):
         store([0, 1], features)
 
 
+def test_push_refuses_a_label_that_is_not_an_integer():
+    """1.7 would be stored as label 1."""
+    d = FeatureDictionary(4, 2)
+    with pytest.raises(InvalidLabel, match="^labels must be integers, got float64$"):
+        d.push(rows(unit(1, 0)), [1.7])
+    assert len(d) == 0
+
+
+def test_update_refuses_a_label_that_is_not_an_integer():
+    """2.9 would install a center for class 2."""
+    t = ClassCenterTable(4, 2)
+    with pytest.raises(InvalidLabel, match="^labels must be integers, got float64$"):
+        t.update([2.9], rows(unit(1, 0)))
+    assert not t.seen.any()
+
+
 class TestHyperParams:
     def test_defaults(self):
         hp = HyperParams()

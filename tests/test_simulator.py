@@ -1,5 +1,6 @@
 import dataclasses
 import logging
+import math
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from psearch.simulator import (
     generate_world,
     observe,
     sample_image_pair,
+    sample_iterations,
     train,
 )
 
@@ -414,9 +416,83 @@ class RecordingDictionary(FeatureDictionary):
         super().push(features, labels)
 
 
+def record_sampler_calls(monkeypatch) -> list:
+    """The label matrix of each sample_image_pair call train() makes, in call order."""
+    calls = []
+
+    def recording_sampler(*args, **kwargs):
+        obs, labels = sample_image_pair(*args, **kwargs)
+        calls.append(labels.copy())
+        return obs, labels
+
+    monkeypatch.setattr(sim, "sample_image_pair", recording_sampler)
+    return calls
+
+
+def record_iteration_draws(monkeypatch) -> list:
+    """Each iteration's (observation rows, label matrix), as train() reads them."""
+    draws = []
+
+    def recording_iterations(*args, **kwargs):
+        for obs, labels in sample_iterations(*args, **kwargs):
+            draws.append((obs.copy(), labels.copy()))
+            yield obs, labels
+
+    monkeypatch.setattr(sim, "sample_iterations", recording_iterations)
+    return draws
+
+
 class TestTrain:
     def small_world(self, seed=0, **kw):
         return generate_world(10, latent_dim=4, obs_dim=16, seed=seed, **kw)
+
+    @pytest.mark.parametrize("iters", [1, 4, 5, 13])
+    def test_one_sampler_call_per_block_of_iterations(self, iters, monkeypatch):
+        """ceil(iters / SAMPLE_BLOCK) calls, each drawing the pairs of a full
+        block but the last, which draws the iterations that are left."""
+        calls = record_sampler_calls(monkeypatch)
+        train(self.small_world(seed=4), ToyEncoder(16, 8), HyperParams(), Schedule(),
+              "olp+c2hep", 4, 3, iters, make_rng(4))
+        assert len(calls) == math.ceil(iters / sim.SAMPLE_BLOCK)
+        blocks = [min(sim.SAMPLE_BLOCK, iters - start)
+                  for start in range(0, iters, sim.SAMPLE_BLOCK)]
+        assert [labels.shape for labels in calls] == [(4 * block, 3) for block in blocks]
+
+    @pytest.mark.parametrize("images", IMAGES_PER_ITER)
+    def test_iterations_are_slices_of_one_call_on_the_spawned_generator(self, images,
+                                                                         monkeypatch):
+        """Iteration k of a block reads images k * images_per_iter onwards
+        of one sample_image_pair call on rng.spawn(1)[0]; 5 iterations end
+        in a cut block."""
+        draws = record_iteration_draws(monkeypatch)
+        world = self.small_world(seed=5)
+        train(world, ToyEncoder(16, 8), HyperParams(), Schedule(), "triplet+hep",
+              images, 3, 5, make_rng(5))
+        sampler_rng = make_rng(5).spawn(1)[0]
+        want = []
+        for start in range(0, 5, sim.SAMPLE_BLOCK):
+            block = min(sim.SAMPLE_BLOCK, 5 - start)
+            obs, labels = sample_image_pair(world, block * images // 2, 3, sampler_rng)
+            want += zip(np.split(obs, block), np.split(labels, block))
+        assert len(draws) == len(want) == 5
+        for (obs, labels), (want_obs, want_labels) in zip(draws, want):
+            assert np.array_equal(labels, want_labels)
+            assert obs.tobytes() == want_obs.tobytes()
+
+    def test_loss_choices_at_one_width_train_on_the_same_images(self, monkeypatch):
+        """The pool's random fill reads rng, the sampler its own generator,
+        so a loss choice with a pool sees the images of one without."""
+        seen = []
+        for choice in ("olp", "olp+c2hep", "triplet+hep", "contrastive"):
+            draws = record_iteration_draws(monkeypatch)
+            train(self.small_world(seed=6), ToyEncoder(16, 8), HyperParams(), Schedule(),
+                  choice, 2, 4, 9, make_rng(6))
+            seen.append(draws)
+        for draws in seen[1:]:
+            assert len(draws) == 9
+            for (obs, labels), (first_obs, first_labels) in zip(draws, seen[0]):
+                assert np.array_equal(labels, first_labels)
+                assert obs.tobytes() == first_obs.tobytes()
 
     def test_invalid_loss_choice(self):
         w = self.small_world()
@@ -525,17 +601,14 @@ class TestTrain:
         # capacity, whether or not the loss choice keeps a dictionary
         RecordingDictionary.pushed_labels = []
         monkeypatch.setattr(sim, "FeatureDictionary", RecordingDictionary)
-        person_rows = []
-
-        def recording_sampler(*args, **kwargs):
-            obs, labels = sample_image_pair(*args, **kwargs)
-            person_rows.append(int(np.sum(labels != LABEL_BACKGROUND)))
-            return obs, labels
-
-        monkeypatch.setattr(sim, "sample_image_pair", recording_sampler)
+        calls = record_sampler_calls(monkeypatch)
         _, rows = train(self.small_world(seed=3), ToyEncoder(16, 8), HyperParams(),
                         Schedule(), choice, 4, 4, 12, make_rng(3), dict_multiplier=2)
-        assert len(person_rows) == 12  # one sampler call per iteration
+        assert len(calls) == 12 // sim.SAMPLE_BLOCK  # one sampler call per block
+        assert all(labels.shape == (sim.SAMPLE_BLOCK * 4, 4) for labels in calls)
+        # each call's label matrix, split into its iterations' 4 images each
+        person_rows = [int(np.sum(it_labels != LABEL_BACKGROUND))
+                       for labels in calls for it_labels in np.split(labels, sim.SAMPLE_BLOCK)]
         capacity = 2 * 4 * 4
         assert sum(person_rows) > capacity
         assert [r.dict_size for r in rows] == np.minimum(np.cumsum(person_rows), capacity).tolist()

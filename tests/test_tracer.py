@@ -7,6 +7,7 @@ pairs; a retrieval pass through them fails here when that reading breaks."""
 
 import importlib
 import importlib.util
+import math
 import sys
 from pathlib import Path
 
@@ -16,7 +17,7 @@ from psearch.dictionaries import HyperParams
 from psearch.evaluation import evaluate_retrieval
 from psearch.numerics import make_rng
 from psearch.runner import build_retrieval_set
-from psearch.simulator import Schedule, ToyEncoder, generate_world, train
+from psearch.simulator import SAMPLE_BLOCK, Schedule, ToyEncoder, generate_world, train
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -64,8 +65,9 @@ def test_tracer_installs_traces_a_run_and_uninstalls(monkeypatch):
     finally:
         tracer.uninstall()
     assert not any(hasattr(f, "__wrapped__") for f in traced_objects(tracer_mod.LAYERS))
-    for layer in ("simulator.sample_image_pair", "simulator.encode",
-                  "dictionaries.push", "dictionaries.center_update",
+    # one sampler call per SAMPLE_BLOCK iterations of each 5-iteration run, the last one cut
+    assert summary["simulator.sample_image_pair.calls"] == 2 * math.ceil(5 / SAMPLE_BLOCK)
+    for layer in ("simulator.encode", "dictionaries.push", "dictionaries.center_update",
                   "pairing.select_priority_pool", "losses.olp_loss", "losses.c2hep_loss",
                   "losses.hep_loss", "losses.triplet_loss", "simulator.head_scores",
                   "simulator.head_backward"):
