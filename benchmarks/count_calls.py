@@ -16,14 +16,19 @@ library may move last bits with its thread count, so run both sides with
 OPENBLAS_NUM_THREADS=1. After the reps, one more train() call, unprofiled,
 gives tracemalloc's peak inside it (numpy reports its buffers to
 tracemalloc, so this count, too, does not depend on load); its digest must
-equal the reps'.
+equal the reps'. That call runs in a fresh interpreter, after the same
+one-iteration warm-up, so the peak does not depend on what the process ran
+before. The peaks of the configs without OLP then repeat to the byte;
+those of the OLP configs still spread by about 25 KB from one fresh
+process to the next.
 
 One more config, eval@4000, counts a retrieval pass instead of training:
 build_retrieval_set, evaluate_retrieval and gallery_sweep over 200/1000/4000
 items, as `run --gallery-sizes` calls them, on the BASE world with 3,800
 distractors after training BASE once. Each rep gives the calls inside each
-of the three, tracemalloc's peak over a second, unprofiled pass, and the
-sha256 of the repr of the full-precision eval rows.
+of the three and the sha256 of the repr of the full-precision eval rows;
+tracemalloc's peak over one more, unprofiled pass comes from a fresh
+interpreter, as for training.
 
     python benchmarks/count_calls.py                          # all 13 configs
     python benchmarks/count_calls.py --config triplet+hep@2   # repeatable
@@ -42,6 +47,7 @@ import dataclasses
 import hashlib
 import json
 import pstats
+import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
@@ -86,7 +92,7 @@ def profile_train(cfg) -> tuple[float, str]:
 
 def traced_train(cfg) -> tuple[int, str]:
     """tracemalloc's peak bytes inside an unprofiled train() call, and the
-    train digest."""
+    train digest. Run it in a fresh interpreter (fresh_peak)."""
     peaks = []
 
     def traced(train, *args, **kwargs):
@@ -110,10 +116,13 @@ def retrieval_pass(world, encoder, cfg, call=lambda phase, f, *args: f(*args)) -
             *call("gallery_sweep", gallery_sweep, rset, SWEEP, rng)]
 
 
-def profile_retrieval(world, encoder, cfg) -> tuple[dict, int, str]:
-    """cProfile's call count inside each phase of one retrieval pass, the
-    traced peak bytes of a second, unprofiled pass, and the sha256 of the
-    repr of the eval rows."""
+def rows_digest(rows) -> str:
+    return hashlib.sha256(repr(rows).encode()).hexdigest()
+
+
+def profile_retrieval(world, encoder, cfg) -> tuple[dict, str]:
+    """cProfile's call count inside each phase of one retrieval pass, and
+    the sha256 of the repr of the eval rows."""
     calls = {}
 
     def profiled(phase, f, *args):
@@ -122,22 +131,54 @@ def profile_retrieval(world, encoder, cfg) -> tuple[dict, int, str]:
         calls[phase] = pstats.Stats(profile).total_calls - 1  # not the phase's own call
         return result
 
-    rows = retrieval_pass(world, encoder, cfg, profiled)
+    return calls, rows_digest(retrieval_pass(world, encoder, cfg, profiled))
+
+
+def traced_retrieval(world, encoder, cfg) -> tuple[int, str]:
+    """tracemalloc's peak bytes over an unprofiled retrieval pass, and the
+    eval-row digest. Run it in a fresh interpreter (fresh_peak)."""
     tracemalloc.start()
     try:
-        if retrieval_pass(world, encoder, cfg) != rows:
-            raise RuntimeError("an unprofiled pass gave other eval rows")
+        rows = retrieval_pass(world, encoder, cfg)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    return calls, peak, hashlib.sha256(repr(rows).encode()).hexdigest()
+    return peak, rows_digest(rows)
+
+
+def config_of(name):
+    if name == EVAL_CONFIG:
+        return dataclasses.replace(BASE, distractors=3800)  # 4,000 gallery items
+    loss, images = name.split("@")
+    return dataclasses.replace(BASE, loss_choice=loss, images_per_iter=int(images))
+
+
+def fresh_peak(name) -> tuple[int, str]:
+    """The traced peak bytes and digest of config name, from a fresh
+    interpreter that runs this script with --peak."""
+    out = subprocess.run([sys.executable, __file__, "--peak", name],
+                         capture_output=True, text=True, check=True).stdout
+    return tuple(json.loads(out.splitlines()[-1]))
+
+
+def peak(name) -> tuple[int, str]:
+    """--peak: the warm-up, then config name's one traced run."""
+    warm_up()
+    cfg = config_of(name)
+    if name != EVAL_CONFIG:
+        return traced_train(cfg)
+    world, encoder, _ = runner.train_from_config(cfg)
+    return traced_retrieval(world, encoder, cfg)
 
 
 def count_retrieval() -> dict:
-    cfg = dataclasses.replace(BASE, distractors=3800)  # 4,000 gallery items
+    cfg = config_of(EVAL_CONFIG)
     world, encoder, _ = runner.train_from_config(cfg)
-    calls, peaks, digests = zip(*(profile_retrieval(world, encoder, cfg) for _ in range(REPS)))
-    return {"config": EVAL_CONFIG, "sweep": SWEEP, "calls": calls, "traced_peak_bytes": peaks,
+    calls, digests = zip(*(profile_retrieval(world, encoder, cfg) for _ in range(REPS)))
+    traced, digest = fresh_peak(EVAL_CONFIG)
+    if digest != digests[0]:
+        raise RuntimeError("an unprofiled pass gave other eval rows")
+    return {"config": EVAL_CONFIG, "sweep": SWEEP, "calls": calls, "traced_peak_bytes": traced,
             "digests": digests, "repeats": len(set(map(repr, calls))) == len(set(digests)) == 1}
 
 
@@ -152,20 +193,23 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--config", action="append", choices=CONFIGS,
                         help=f"loss@images_per_iter or {EVAL_CONFIG}; repeatable (default: all)")
+    parser.add_argument("--peak", choices=CONFIGS, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
+    if args.peak:
+        print(json.dumps(peak(args.peak)))
+        return 0
     warm_up()
     for name in args.config or CONFIGS:
         if name == EVAL_CONFIG:
             print(json.dumps(count_retrieval()), flush=True)
             continue
-        loss, images = name.split("@")
-        cfg = dataclasses.replace(BASE, loss_choice=loss, images_per_iter=int(images))
+        cfg = config_of(name)
         counts, digests = zip(*(profile_train(cfg) for _ in range(REPS)))
-        peak, digest = traced_train(cfg)
+        traced, digest = fresh_peak(name)
         if digest != digests[0]:
             raise RuntimeError("an unprofiled train() gave another digest")
         print(json.dumps({"config": name, "iters": cfg.iters, "calls_per_iter": counts,
-                          "traced_peak_bytes": peak, "digests": digests,
+                          "traced_peak_bytes": traced, "digests": digests,
                           "repeats": len(set(counts)) == len(set(digests)) == 1}), flush=True)
     return 0
 

@@ -2,18 +2,20 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from psearch.checks import c2hep_oracle, contrastive_oracle, hep_oracle, triplet_oracle
+from psearch.checks import c2hep_oracle, contrastive_oracle, hep_oracle, olp_oracle, triplet_oracle
 from psearch.dictionaries import ClassCenterTable, FeatureDictionary, HyperParams
 from psearch.errors import (
     DimensionMismatch,
     EmptyPool,
     EmptySubgroups,
     InvalidLabel,
+    NonFiniteFunction,
     UninitializedCenter,
 )
 from psearch.losses import (
+    RING_BLOCK,
     c2hep_loss,
     contrastive_loss,
     hep_loss,
@@ -103,6 +105,80 @@ class TestOlpLoss:
             err = check_gradient(f, anchors[i], res.anchor_gradients[i])
             assert err < 1e-6
 
+    @pytest.mark.parametrize("changes", [
+        {3: np.ones((2, 3))},                          # negatives 3 wide, anchors 2 wide
+        {3: np.ones((2, 4)), 4: [100, 101, 102, 103]},  # 2 rows of 4 would reshape to 4 of 2
+        {4: [100, 101, 102]},                          # three labels for two negatives
+        {1: np.ones((1, 3))},                          # positives of another shape
+        {1: np.ones((2, 2))},
+        {2: [0, 1]},                                   # two anchor labels for one subgroup
+    ])
+    def test_mismatched_shapes_raise(self, changes):
+        args = list(one_subgroup([1.0, 0.0], [1.0, 0.0], [[0.0, 1.0], [1.0, 0.0]]))
+        for field, value in changes.items():
+            args[field] = value
+        with pytest.raises(DimensionMismatch, match="^anchors \\(1, 2\\), positives "):
+            olp_loss(*args)
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 12), st.integers(0, 40),
+           st.sampled_from([0, 1, 3]), st.sampled_from([math.nan, math.inf, -math.inf]))
+    @settings(max_examples=100, deadline=None)
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_input_raises(self, seed, count, max_negs, field, value):
+        """A NaN or infinity anywhere in anchors, positives or negatives,
+        masked dictionary rows and an empty dictionary included."""
+        rng = make_rng(seed)
+        args = list(random_subgroups(rng, count, 5, max_negs))
+        if not len(args[field]):
+            args[3], args[4] = unit_rows(rng, 1, dim=5), [0]
+        args[field][rng.integers(len(args[field])), rng.integers(5)] = value
+        with pytest.raises(NonFiniteFunction):
+            olp_loss(*args)
+
+    @pytest.mark.parametrize("positive, negative", [
+        ([1.0, 0.0], [30.0, 0.0]),    # s = 900 overflows exp
+        ([30.0, 0.0], [0.0, 1.0]),    # d_pos = 900 overflows exp
+        ([-30.0, 0.0], [0.0, 1.0]),   # d_pos = -900 underflows exp to 0
+    ])
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_exp_out_of_range_raises(self, positive, negative):
+        # unit-norm rows keep every score within [-1, 1]
+        with pytest.raises(NonFiniteFunction):
+            olp_loss(*one_subgroup([30.0, 0.0], positive, [negative]))
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 12), st.integers(1, 4), st.integers(1, 4),
+       st.sampled_from([0, 3, 40]))
+@settings(max_examples=60, deadline=None)
+def test_olp_blocked_pass_matches_oracle(seed, count, blocks, distinct, max_label):
+    """olp_loss against checks.olp_oracle within 1e-12 and its ranking
+    exactly, for 1-12 subgroups, on both sides of the m <= 8 block rule:
+    rings that take one to four blocks of at most RING_BLOCK // m rows,
+    which olp_loss sizes evenly (one block of up to 400 rows for m > 8).
+    Rows are copies of a few unit vectors of +-0.5 entries and one 0,
+    whose dot products are exact in any summation order, and the two rows
+    at each block edge are the same vector, so similarities tie exactly,
+    across block edges too."""
+    rng = make_rng(seed)
+    rows, blocks = (RING_BLOCK // count, blocks) if count <= 8 else (400, 1)
+    k = (blocks - 1) * rows + int(rng.integers(1, rows + 1))
+    base = rng.choice([-0.5, 0.5], size=(distinct, 5))
+    base[np.arange(distinct), rng.integers(0, 5, distinct)] = 0.0
+    pick = rng.integers(0, distinct, k)
+    edges = np.arange(1, blocks) * k // blocks  # olp_loss's even block edges
+    pick[edges] = pick[edges - 1]
+    dictionary = FeatureDictionary(k, 5)
+    dictionary.push(base[pick], rng.integers(-1, max_label + 1, k))
+    labels = rng.integers(0, max_label + 1, count)
+    stored = dictionary.matrix()[1][rng.integers(0, k, count)]
+    labels = np.where(stored >= 0, stored, labels)  # masks that bite
+    anchors, positives = base[rng.integers(0, distinct, count)], unit_rows(rng, count, dim=5)
+    res = olp_loss(anchors, positives, labels, *dictionary.matrix())
+    loss, grads, ranked = olp_oracle(anchors, positives, labels, dictionary)
+    assert abs(res.loss - loss) <= 1e-12
+    assert np.abs(res.anchor_gradients - grads).max() <= 1e-12
+    assert res.hard_ranked.tolist() == list(dict.fromkeys(ranked))
+
 
 def column_ranked_olp(anchors, positives, anchor_labels, negatives, negative_labels):
     """Reference: olp_loss's body from when it ranked hard negatives per
@@ -128,13 +204,18 @@ def column_ranked_olp(anchors, positives, anchor_labels, negatives, negative_lab
 @given(st.integers(0, 2**32 - 1), st.integers(1, 1400), st.integers(0, 2800), st.integers(1, 10),
        st.integers(1, 6), st.sampled_from([0, 3, 200, 5000]), st.booleans())
 @settings(max_examples=100, deadline=None)
+# 342 rows at m = 3: blocks of 341 and 1 rows broke a tie at the edge, as BLAS rounded the
+# one-row block apart; olp_loss's even blocks keep it
+@example(seed=0, capacity=342, pushed=342, count=3, distinct=3, max_label=200, shared_label=False)
 def test_olp_matches_column_ranked_reference(seed, capacity, pushed, count, distinct, max_label,
                                              shared_label):
-    """olp_loss equals the per-column ranking it replaced bit for bit, on
-    ring views of 0-1,400 rows labeled -1..max_label. Rows are copies of
-    a few vectors, so similarities tie exactly across columns, subgroups
-    and labels; anchors are not unit-norm; with shared_label every anchor
-    has one label, whose columns are then masked in every row."""
+    """olp_loss equals the per-column ranking it replaced, on ring views of
+    0-1,400 rows labeled -1..max_label: the ranking exactly, and loss, q,
+    q_hat and gradients within 1e-12, since the one-pass scoring sums in
+    another order. Rows are copies of a few vectors, so similarities tie
+    exactly across columns, subgroups and labels; anchors are not
+    unit-norm; with shared_label every anchor has one label, whose columns
+    are then masked in every row."""
     rng = make_rng(seed)
     base = unit_rows(rng, distinct, dim=5)
     dictionary = FeatureDictionary(capacity, 5)
@@ -152,9 +233,9 @@ def test_olp_matches_column_ranked_reference(seed, capacity, pushed, count, dist
     res = olp_loss(anchors, positives, labels, negatives, negative_labels)
     loss, q, q_hat, grads, ranked = column_ranked_olp(anchors, positives, labels, negatives,
                                                       negative_labels)
-    assert res.loss == loss
+    assert abs(res.loss - loss) <= 1e-12
     for got, want in ((res.q, q), (res.q_hat, q_hat), (res.anchor_gradients, grads)):
-        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert got.shape == want.shape and np.abs(got - want).max(initial=0.0) <= 1e-12
     assert res.hard_ranked.tolist() == ranked.tolist()
 
 
