@@ -9,17 +9,17 @@ count does not depend on machine load, so two versions of the program can be
 compared in one run. It omits work done inside native code and says nothing
 about time. One unprofiled one-iteration train() runs before any count.
 
-Each rep also gives the sha256 of the repr of its full-precision train rows
-and the final encoder W and b. Equal digests from two checkouts show that
-training is bit-identical, which train.csv's 10 digits cannot; the BLAS
-library may move last bits with its thread count, so run both sides with
-OPENBLAS_NUM_THREADS=1. After the reps, one more train() call, unprofiled,
-gives tracemalloc's peak inside it (numpy reports its buffers to
-tracemalloc, so this count, too, does not depend on load); its digest must
-equal the reps'. That call runs in a fresh interpreter, after the same
-one-iteration warm-up, so the peak does not depend on what the process ran
-before. The peaks of the configs without OLP then repeat to the byte;
-those of the OLP configs still spread by about 25 KB from one fresh
+Each rep also gives its digest (digests.py: the sha256 of the repr of its
+full-precision train rows and the final encoder W and b). Equal digests from
+two checkouts show that training is bit-identical, which train.csv's 10
+digits cannot; the BLAS library may move last bits with its thread count, so
+run both sides with OPENBLAS_NUM_THREADS=1. After the reps, one more train()
+call, unprofiled, gives tracemalloc's peak inside it (numpy reports its
+buffers to tracemalloc, so this count, too, does not depend on load); its
+digest must equal the reps'. That call runs in a fresh interpreter, after
+the same one-iteration warm-up, so the peak does not depend on what the
+process ran before. The peaks of the configs without OLP then repeat to the
+byte; those of the OLP configs still spread by about 25 KB from one fresh
 process to the next.
 
 One more config, eval@4000, counts a retrieval pass instead of training:
@@ -55,6 +55,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
+from digests import digest  # noqa: E402
 from psearch import runner  # noqa: E402
 from psearch.evaluation import evaluate_retrieval, gallery_sweep  # noqa: E402
 from psearch.numerics import make_rng  # noqa: E402
@@ -69,16 +70,14 @@ REPS = 3
 
 def train_digest(cfg, call) -> str:
     """runner.train_from_config(cfg) with its train() call run through
-    call(train, *args, **kwargs); the sha256 of the repr of the train rows
-    and the final W and b."""
+    call(train, *args, **kwargs); the digest of the run."""
     train = runner.train
     runner.train = lambda *args, **kwargs: call(train, *args, **kwargs)
     try:
         _, encoder, rows = runner.train_from_config(cfg)
     finally:
         runner.train = train
-    trained = repr((rows, encoder.W.tolist(), encoder.b.tolist()))
-    return hashlib.sha256(trained.encode()).hexdigest()
+    return digest(rows, encoder)
 
 
 def profile_train(cfg) -> tuple[float, str]:

@@ -28,13 +28,14 @@ perfbench/ is read from this checkout and is not changed.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import statistics
 import subprocess
 import sys
 from pathlib import Path
+
+from digests import digest
 
 ROOT = Path(__file__).resolve().parents[1]
 PERFBENCH = ROOT / "perfbench"
@@ -69,11 +70,10 @@ def side(workload: str, seed: int, first: bool, read_fd: int, write_fd: int) -> 
         schedules[0].stop()
     finally:
         baton.finish()
-    trained = repr((rows, encoder.W.tolist(), encoder.b.tolist()))
     cuts = statistics.quantiles(schedules[0].steps_ms, n=100, method="inclusive")
     print(json.dumps({"busy_s": schedules[0].busy_s,
                       "step_ms": {f"p{q}": cuts[q - 1] for q in STEP_PERCENTILES},
-                      "digest": hashlib.sha256(trained.encode()).hexdigest()}))
+                      "digest": digest(rows, encoder)}))
     return 0
 
 

@@ -7,8 +7,10 @@ built as that file's trained_map builds them with the seed replaced, and
 evaluates each one on BASE's retrieval set (100 distractors), as the
 criteria do. Per seed it prints one JSON line with each config's mAP, each
 criterion's margin to its bound (>= 0 when the bound holds) and the first 16
-hex digits of the sha256 of the repr of each config's full-precision train
-rows. Then one summary line gives the tightest margin per bound and its seed.
+hex digits of each config's digest (digests.py: the sha256 of the repr of its
+full-precision train rows and the final encoder W and b). Tables printed when
+the digest covered the train rows only carry other digests for the same runs.
+Then one summary line gives the tightest margin per bound and its seed.
 
 As a read-out, not a gate, each trained encoder is also evaluated on the
 eval@4000 gallery of benchmarks/count_calls.py (3,800 distractors), where
@@ -27,7 +29,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import hashlib
 import json
 import sys
 from pathlib import Path
@@ -35,6 +36,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
+from digests import digest  # noqa: E402
 from lockstep import parse_seeds  # noqa: E402
 from psearch import runner  # noqa: E402
 from psearch.evaluation import evaluate_retrieval  # noqa: E402
@@ -71,7 +73,7 @@ def seed_row(seed: int) -> dict:
         maps[name] = evaluate_retrieval(runner.build_retrieval_set(world, encoder, cfg))[0]
         readout = dataclasses.replace(cfg, distractors=READOUT_DISTRACTORS)
         maps_4000[name] = evaluate_retrieval(runner.build_retrieval_set(world, encoder, readout))[0]
-        digests[name] = hashlib.sha256(repr(rows).encode()).hexdigest()[:16]
+        digests[name] = digest(rows, encoder)[:16]
     return {"seed": seed, "map": maps, "margins": {k: f(maps) for k, f in MARGINS.items()},
             "map_4000": maps_4000, "margins_4000": {k: f(maps_4000) for k, f in MARGINS.items()},
             "digests": digests}

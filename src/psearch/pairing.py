@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .dictionaries import int_labels
 from .errors import InvalidParams
 
 
@@ -50,12 +51,13 @@ def select_priority_pool(
     hard_negative_labels must be ranked by descending cosine similarity
     to their anchors; only its head is read. Labels -1 in the ranking are
     skipped; every other label must lie in [0, num_classes), as olp_loss's
-    ranking of dictionary labels does. extra_labels (non-negative, e.g. a background class index)
-    are always included. If ground truth alone exceeds pool_size the pool keeps
-    everything and may exceed the target; train() counts those
-    iterations and logs them once per run.
+    ranking of dictionary labels does; a ground-truth label that is not an
+    integer raises InvalidLabel before any draw. extra_labels (non-negative,
+    e.g. a background class index) are always included. If ground truth alone
+    exceeds pool_size the pool keeps everything and may exceed the target;
+    train() counts those iterations and logs them once per run.
     """
-    gt = np.fromiter(gt_labels, dtype=np.int64)
+    gt = int_labels(gt_labels if isinstance(gt_labels, np.ndarray) else list(gt_labels))
     outside = gt[(gt < 0) | (gt >= num_classes)]
     if outside.size:
         raise InvalidParams(f"ground-truth label {outside[0]} outside [0, {num_classes})")

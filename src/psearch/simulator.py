@@ -47,9 +47,6 @@ LOSS_TERMS = {
     "contrastive": ("contrastive", None),
 }
 LOSS_CHOICES = tuple(LOSS_TERMS)
-# the terms that give a gradient to rows without an identity label: hep
-# scores backgrounds, triplet takes unlabeled rows as negatives
-UNLABELED_GRAD_TERMS = frozenset({"hep", "triplet"})
 IMAGES_PER_ITER = (2, 4, 8)
 # training iterations drawn per sampler call: fewer generator calls, but a
 # block's whole draw lands in one step, so a larger block slows the slowest steps
@@ -252,10 +249,13 @@ class ToyEncoder:
         """Gradient of the pre-normalization affine parameters, summed
         over the rows of dx.
 
-        Chains each row through the normalization Jacobian (I - x x^T)/||z||.
-        Returns (dW, db).
+        Chains each row through the normalization Jacobian (I - x x^T)/||z||;
+        an all-zero row of dx adds nothing and is skipped. Returns (dW, db).
         """
         obs, x, norm = cache
+        rows = np.logical_or.reduce(dx, axis=1).nonzero()[0]
+        if rows.size < len(dx):
+            obs, x, norm, dx = obs.take(rows, 0), x.take(rows, 0), norm.take(rows, 0), dx.take(rows, 0)
         dz = (dx - x * np.einsum("...i,...i->...", x, dx)[..., None]) / norm
         return dz.T @ obs, dz.sum(axis=0)
 
@@ -326,15 +326,14 @@ def train(
 ) -> tuple[ToyEncoder, list[TrainLogRow]]:
     """Per iteration: the iteration's images, then encode, the loss
     alpha * metric + beta * identity, an SGD step through the
-    normalization Jacobian (of the labeled rows only, unless a term in
-    UNLABELED_GRAD_TERMS is chosen), and one dictionary push (olp, the only
-    metric term that reads the dictionary). The images come from
-    sample_iterations on the sampler's own generator, rng.spawn(1)[0],
-    made once per run: one sample_image_pair call draws the images of
-    SAMPLE_BLOCK iterations, and each iteration reads its slice. c2hep
-    updates the centers twice: before the loss it installs unseen labels
-    from their first rows, which c2hep_loss needs, and after the SGD step
-    it blends in every labeled row.
+    normalization Jacobian (of the rows of G that the chosen terms make
+    nonzero), and one dictionary push (olp, the only metric term that
+    reads the dictionary). The images come from sample_iterations on the
+    sampler's own generator, rng.spawn(1)[0], made once per run: one
+    sample_image_pair call draws the images of SAMPLE_BLOCK iterations,
+    and each iteration reads its slice. c2hep updates the centers twice:
+    before the loss it installs unseen labels from their first rows, which
+    c2hep_loss needs, and after the SGD step it blends in every labeled row.
 
     An iteration is a few arrays: the sampled observation and label
     matrices, the feature matrix X (one row per proposal), its labels
@@ -349,8 +348,6 @@ def train(
     """
     check_training(loss_choice, images_per_iter, proposals_per_image, iters, dict_multiplier)
     metric, identity = LOSS_TERMS[loss_choice]
-    # without those terms only labeled rows get a gradient: olp anchors, c2hep, contrastive
-    labeled_grads_only = UNLABELED_GRAD_TERMS.isdisjoint((metric, identity))
 
     capacity = dict_multiplier * proposals_per_image * images_per_iter
     # dict_size logs the person rows a dictionary holds, or would hold. The
@@ -429,8 +426,6 @@ def train(
             if not math.isfinite(total):
                 raise DivergenceDetected(f"non-finite total loss at iteration {it}")
 
-            if labeled_grads_only:  # the other rows of G are zero and add nothing
-                cache, G = (obs[labeled], X[labeled], cache[2][labeled]), G[labeled]
             dW, db = encoder.backward(cache, G)
             encoder.W -= np.multiply(dW, lr, out=dW)
             encoder.b -= lr * db

@@ -329,13 +329,15 @@ def full_matrix_hep_step(A, c, x, labels, pool, lr, beta):
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(1, 8), st.integers(1, 200))
+@example(seed=0, n=7, num_classes=199)  # the losses (about 4.9) two ulps apart
 @settings(max_examples=100, deadline=None)
 def test_pool_only_head_step_matches_full_matrix_step(seed, n, num_classes):
     """The head step of train() on the pool rows only, against the
     full-matrix step: rows of A and c outside the pool are unchanged by
-    bytes (their gradient was exactly zero), pool rows, dx and the loss
-    agree to 1e-15. Training shapes: unit 256-d feature rows, 1-8 rows,
-    up to 200 classes plus background, pools that hold it."""
+    bytes (their gradient was exactly zero), pool rows and dx agree to
+    1e-15, and the loss to 4 ulps (the two sides reduce over different
+    columns). Training shapes: unit 256-d feature rows, 1-8 rows, up to
+    200 classes plus background, pools that hold it."""
     rng = make_rng(seed)
     head = ClassifierHead(num_classes, seed=int(rng.integers(1000)))
     head.c = 0.1 * rng.normal(size=num_classes + 1)
@@ -357,7 +359,7 @@ def test_pool_only_head_step_matches_full_matrix_step(seed, n, num_classes):
     assert np.abs(head.A[pool] - want_A[pool]).max() <= 1e-15
     assert np.abs(head.c[pool] - want_c[pool]).max() <= 1e-15
     assert np.abs(dx - want_dx).max() <= 1e-15
-    assert abs(loss - want_loss) <= 1e-15
+    assert abs(loss - want_loss) <= 4 * np.spacing(want_loss)
 
 
 class TestC2hepLoss:

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from psearch.dictionaries import FeatureDictionary
-from psearch.errors import InvalidParams
+from psearch.errors import InvalidLabel, InvalidParams
 from psearch.losses import olp_loss
 from psearch.numerics import l2_normalize, make_rng
 from psearch.pairing import build_subgroups, select_priority_pool
@@ -139,6 +139,15 @@ class TestSelectPriorityPool:
     def test_invalid_gt_label(self):
         with pytest.raises(InvalidParams):
             select_priority_pool({20}, [], 5, 10, 20, make_rng(0))
+
+    @pytest.mark.parametrize("gt", [[1.7, 2.2], np.array([3.0]), {2.5}])
+    def test_non_integer_gt_label_refused_before_any_draw(self, gt):
+        # once truncated to [1 2 6 7 9]; refused as FeatureDictionary.push refuses it
+        rng = make_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(InvalidLabel, match="^labels must be integers, got float64$"):
+            select_priority_pool(gt, [], 5, 2, 10, rng)
+        assert rng.bit_generator.state == state
 
     def test_gt_always_member_randomized(self):
         rng = make_rng(99)

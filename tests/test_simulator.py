@@ -277,12 +277,19 @@ class TestToyEncoder:
         assert check_gradient(lambda b: loss(enc.W, b), enc.b, db) < 1e-6
 
 
+def every_row_backward(encoder, cache, dx):
+    """ToyEncoder.backward's formula over every row of dx, zero rows included."""
+    obs, x, norm = cache
+    dz = (dx - x * np.einsum("...i,...i->...", x, dx)[..., None]) / norm
+    return dz.T @ obs, dz.sum(axis=0)
+
+
 @given(seed=st.integers(0, 2**32 - 1), images=st.sampled_from(IMAGES_PER_ITER),
        share=st.floats(0, 1))
 @settings(max_examples=100, deadline=None)
 def test_backward_over_gradient_rows_equals_every_row(seed, images, share):
-    """At train()'s sizes, back-propagating only the rows of G that carry a
-    gradient gives the same dW and db as every row, when the others are zero."""
+    """At train()'s sizes, backward, which skips the zero rows of G, gives
+    the same dW and db as its formula over every row."""
     rng = make_rng(seed)
     enc = ToyEncoder(128, seed=seed % 97)
     _, cache = enc.encode(rng.normal(size=(4 * images, 128)))
@@ -290,9 +297,8 @@ def test_backward_over_gradient_rows_equals_every_row(seed, images, share):
     G = np.zeros((4 * images, EMBED_DIM))
     G[rows] = rng.normal(size=(rows.size, EMBED_DIM))
     dW, db = enc.backward(cache, G)
-    obs, x, norm = cache
-    sub_dW, sub_db = enc.backward((obs[rows], x[rows], norm[rows]), G[rows])
-    assert np.array_equal(sub_dW, dW) and np.array_equal(sub_db, db)
+    every_dW, every_db = every_row_backward(enc, cache, G)
+    assert np.array_equal(dW, every_dW) and np.array_equal(db, every_db)
 
 
 def test_classifier_head_backward_finite_difference():
@@ -536,10 +542,9 @@ class TestTrain:
                                        if metric or identity],
                              ids=lambda terms: "+".join(filter(None, terms)))
     def test_back_propagating_every_row_changes_no_bit(self, terms, images, monkeypatch):
-        """Only the terms in UNLABELED_GRAD_TERMS give rows without an
-        identity label a gradient: for each pair of terms, the six loss
-        choices and the rest, back-propagating every row, as if every term
-        did, trains the same bits."""
+        """backward skips the rows of G that no chosen term gives a
+        gradient: for each pair of terms, the six loss choices and the
+        rest, back-propagating every row trains the same bits."""
         monkeypatch.setitem(sim.LOSS_TERMS, "terms", terms)
 
         def run():
@@ -550,8 +555,7 @@ class TestTrain:
             return enc.W.tobytes(), enc.b.tobytes(), rows
 
         lean = run()
-        every_term = {term for pair in sim.LOSS_TERMS.values() for term in pair} - {None}
-        monkeypatch.setattr(sim, "UNLABELED_GRAD_TERMS", frozenset(every_term))
+        monkeypatch.setattr(ToyEncoder, "backward", every_row_backward)
         assert run() == lean
 
     def test_zero_learning_rate_is_noop(self):
