@@ -8,6 +8,11 @@ functions they call, divided by the iteration count. Unlike a timing, the
 count does not depend on machine load, so two versions of the program can be
 compared in one run. It omits work done inside native code and says nothing
 about time. One unprofiled one-iteration train() runs before any count.
+numpy_py_calls is the part of those calls that enter numpy's own Python-level
+functions (wrappers such as ndarray.sum's _core/_methods.py:_sum, np.unique or
+the generator's internal np.prod), per iteration, and numpy_py_functions names
+them, file:function relative to numpy's package, with their calls per
+iteration, so a wrapper that comes back into the training step shows by name.
 
 Each rep also gives its digest (digests.py: the sha256 of the repr of its
 full-precision train rows and the final encoder W and b). Equal digests from
@@ -52,6 +57,8 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import numpy
+
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
@@ -66,6 +73,7 @@ EVAL_CONFIG = "eval@4000"
 CONFIGS = [f"{loss}@{images}" for loss in LOSS_CHOICES for images in (2, 8)] + [EVAL_CONFIG]
 SWEEP = [200, 1000, 4000]
 REPS = 3
+NUMPY_DIR = Path(numpy.__file__).parent
 
 
 def train_digest(cfg, call) -> str:
@@ -80,13 +88,28 @@ def train_digest(cfg, call) -> str:
     return digest(rows, encoder)
 
 
-def profile_train(cfg) -> tuple[float, str]:
+def numpy_calls(stats: pstats.Stats) -> dict[str, int]:
+    """The calls stats records into numpy's Python-level functions, by
+    file:function, the file relative to numpy's package, most called first."""
+    calls = {}
+    for (filename, _, name), (_, count, *_) in stats.stats.items():
+        path = Path(filename)
+        if path.is_relative_to(NUMPY_DIR):
+            key = f"{path.relative_to(NUMPY_DIR).as_posix()}:{name}"
+            calls[key] = calls.get(key, 0) + count
+    return dict(sorted(calls.items(), key=lambda kv: (-kv[1], kv[0])))
+
+
+def profile_train(cfg) -> tuple[float, dict[str, float], str]:
     """cProfile's call count inside the train() call, per iteration (world
-    and encoder construction are not profiled), and the train digest."""
+    and encoder construction are not profiled), its calls into numpy's
+    Python-level functions by name, per iteration, and the train digest."""
     profile = cProfile.Profile()
     digest = train_digest(cfg, profile.runcall)
+    stats = pstats.Stats(profile)
     # the profiled train() call itself is not an iteration's call
-    return (pstats.Stats(profile).total_calls - 1) / cfg.iters, digest
+    return ((stats.total_calls - 1) / cfg.iters,
+            {key: n / cfg.iters for key, n in numpy_calls(stats).items()}, digest)
 
 
 def traced_train(cfg) -> tuple[int, str]:
@@ -119,18 +142,21 @@ def rows_digest(rows) -> str:
     return hashlib.sha256(repr(rows).encode()).hexdigest()
 
 
-def profile_retrieval(world, encoder, cfg) -> tuple[dict, str]:
-    """cProfile's call count inside each phase of one retrieval pass, and
-    the sha256 of the repr of the eval rows."""
-    calls = {}
+def profile_retrieval(world, encoder, cfg) -> tuple[dict, dict, str]:
+    """cProfile's call count inside each phase of one retrieval pass, the
+    part of it that enters numpy's Python-level functions, and the sha256
+    of the repr of the eval rows."""
+    calls, numpy_py = {}, {}
 
     def profiled(phase, f, *args):
         profile = cProfile.Profile()
         result = profile.runcall(f, *args)
-        calls[phase] = pstats.Stats(profile).total_calls - 1  # not the phase's own call
+        stats = pstats.Stats(profile)
+        calls[phase] = stats.total_calls - 1  # not the phase's own call
+        numpy_py[phase] = sum(numpy_calls(stats).values())
         return result
 
-    return calls, rows_digest(retrieval_pass(world, encoder, cfg, profiled))
+    return calls, numpy_py, rows_digest(retrieval_pass(world, encoder, cfg, profiled))
 
 
 def traced_retrieval(world, encoder, cfg) -> tuple[int, str]:
@@ -173,12 +199,13 @@ def peak(name) -> tuple[int, str]:
 def count_retrieval() -> dict:
     cfg = config_of(EVAL_CONFIG)
     world, encoder, _ = runner.train_from_config(cfg)
-    calls, digests = zip(*(profile_retrieval(world, encoder, cfg) for _ in range(REPS)))
+    calls, numpy_py, digests = zip(*(profile_retrieval(world, encoder, cfg) for _ in range(REPS)))
     traced, digest = fresh_peak(EVAL_CONFIG)
     if digest != digests[0]:
         raise RuntimeError("an unprofiled pass gave other eval rows")
-    return {"config": EVAL_CONFIG, "sweep": SWEEP, "calls": calls, "traced_peak_bytes": traced,
-            "digests": digests, "repeats": len(set(map(repr, calls))) == len(set(digests)) == 1}
+    return {"config": EVAL_CONFIG, "sweep": SWEEP, "calls": calls, "numpy_py_calls": numpy_py,
+            "traced_peak_bytes": traced, "digests": digests,
+            "repeats": len(set(map(repr, zip(calls, numpy_py)))) == len(set(digests)) == 1}
 
 
 def warm_up() -> None:
@@ -203,13 +230,17 @@ def main(argv=None) -> int:
             print(json.dumps(count_retrieval()), flush=True)
             continue
         cfg = config_of(name)
-        counts, digests = zip(*(profile_train(cfg) for _ in range(REPS)))
+        counts, functions, digests = zip(*(profile_train(cfg) for _ in range(REPS)))
         traced, digest = fresh_peak(name)
         if digest != digests[0]:
             raise RuntimeError("an unprofiled train() gave another digest")
         print(json.dumps({"config": name, "iters": cfg.iters, "calls_per_iter": counts,
+                          "numpy_py_calls": [round(sum(f.values()), 4) for f in functions],
+                          "numpy_py_functions": functions[0],
                           "traced_peak_bytes": traced, "digests": digests,
-                          "repeats": len(set(counts)) == len(set(digests)) == 1}), flush=True)
+                          "repeats": (len(set(counts)) == len(set(digests)) == 1
+                                      and all(f == functions[0] for f in functions))}),
+              flush=True)
     return 0
 
 

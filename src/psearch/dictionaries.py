@@ -83,7 +83,7 @@ class FeatureDictionary:
         labels = int_labels(labels)
         if labels.size == 0:
             return
-        if labels.min() < LABEL_UNIDENTIFIED:
+        if np.minimum.reduce(labels) < LABEL_UNIDENTIFIED:
             raise InvalidLabel(f"label {labels.min()} not storable")
         features = _rows_for(labels, features, self._feats.shape[1])
         # of a push larger than the buffer only its last `capacity` rows survive
@@ -130,7 +130,8 @@ class ClassCenterTable:
         to (near) zero keeps the old center; returns how many rows did.
         """
         labels = int_labels(labels)
-        if labels.size and not (labels.min() >= 0 and labels.max() < self.num_classes):
+        if (np.minimum.reduce(labels, initial=0) < 0
+                or np.maximum.reduce(labels, initial=-1) >= self.num_classes):
             raise InvalidLabel(f"labels {labels} outside [0, {self.num_classes})")
         features = _rows_for(labels, features, self.centers.shape[1])
         if labels.size == 0:
@@ -141,16 +142,16 @@ class ClassCenterTable:
         occurrence = np.empty_like(order)
         occurrence[order] = np.arange(labels.size) - ordered.searchsorted(ordered)
         degenerate = 0
-        for r in range(occurrence.max() + 1):
+        for r in range(np.maximum.reduce(occurrence) + 1):
             rows = (occurrence == r).nonzero()[0]
             lab, x = labels[rows], features[rows]
             seen = self.seen[lab]
             raw = self.phi * self.centers[lab] + (1.0 - self.phi) * x
-            if not seen.all():  # an unseen label installs its row as given
+            if not np.logical_and.reduce(seen):  # an unseen label installs its row as given
                 raw[~seen] = x[~seen]
             norm = np.sqrt(np.einsum("ij,ij->i", raw, raw))
             ok = norm >= ZERO_NORM_EPS
-            if not ok.all():  # a degenerate row leaves its label as it was
+            if not np.logical_and.reduce(ok):  # a degenerate row leaves its label as it was
                 degenerate += int(ok.size - np.count_nonzero(ok))
                 lab, raw, norm = lab[ok], raw[ok], norm[ok]
             raw /= norm[:, None]

@@ -91,12 +91,12 @@ def olp_loss(anchors, positives, anchor_labels, negatives, negative_labels) -> O
         raise DimensionMismatch(f"anchors {anchors.shape}, positives {positives.shape}, anchor "
                                 f"labels {anchor_labels.shape}, negatives {negatives.shape}, "
                                 f"negative labels {negative_labels.shape}")
-    if negative_labels.min(initial=-1) < -1:
+    if np.minimum.reduce(negative_labels, initial=-1) < -1:
         raise InvalidLabel(f"negative label {negative_labels.min()} below -1")
     d_pos = np.add.reduce(anchors * positives, axis=1, keepdims=True)
     pos_exps = np.exp(d_pos)
     # a NaN or infinity in a row, or an overflowed exp, makes the sum non-finite
-    if not math.isfinite(pos_exps.sum()):
+    if not math.isfinite(np.add.reduce(pos_exps, axis=None)):
         raise NonFiniteFunction("non-finite anchor or positive rows, or an overflowed exp")
     masked = negative_labels == anchor_labels[:, None]
     sims = np.empty((m, k))   # masked similarities, which the ranking reads
@@ -116,17 +116,17 @@ def olp_loss(anchors, positives, anchor_labels, negatives, negative_labels) -> O
     total = np.add.reduce(exps, axis=1, keepdims=True)
     norm = total + pos_exps
     # (q - 1) * positive + sum_k q_hat_k * negative_k, where q - 1 = -total / norm
-    grads = parts[0] if blocks == 1 else parts.sum(axis=0)
+    grads = parts[0] if blocks == 1 else np.add.reduce(parts, axis=0)
     grads -= total * positives
     grads /= norm
     loss = math.fsum(np.log1p(total[:, 0] / pos_exps[:, 0])) / m  # exactly 0 with no negatives
     # a NaN or infinity in a dictionary row, an overflowed exp, or exp(d_pos) underflowed to 0
-    if not (math.isfinite(loss) and math.isfinite(grads.sum())):
+    if not (math.isfinite(loss) and math.isfinite(np.add.reduce(grads, axis=None))):
         raise NonFiniteFunction("non-finite dictionary rows, or an exp out of range")
     # each label's best unmasked similarity, indexed by label + 1; present is in label order
     lab = negative_labels + 1
-    best = np.full(lab.max(initial=0) + 1, -np.inf)
-    np.maximum.at(best, lab, sims.max(axis=0))
+    best = np.full(np.maximum.reduce(lab, initial=0) + 1, -np.inf)
+    np.maximum.at(best, lab, np.maximum.reduce(sims, axis=0))
     present = (best > -np.inf).nonzero()[0]
     ranked = present[np.argsort(-best[present], kind="stable")] - 1
     return OlpResult(loss, grads, ranked, norm, pos_exps, exps)
@@ -233,14 +233,14 @@ def contrastive_loss(features, labels, margin: float = 0.5) -> tuple[float, np.n
     """
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels)
-    upper = np.triu(np.ones((len(labels), len(labels)), dtype=bool), 1)
-    upper &= (labels[:, None] >= 0) & (labels[None, :] >= 0)
+    row = np.arange(len(labels))
+    upper = (row[:, None] < row) & (labels[:, None] >= 0) & (labels[None, :] >= 0)
     same = labels[:, None] == labels[None, :]
     pos, neg = upper & same, upper & ~same
     gram = features @ features.T
     loss = 0.0
     weight = np.zeros_like(gram)  # d loss / d gram over pairs i < j
-    n_pos, n_neg = int(pos.sum()), int(neg.sum())
+    n_pos, n_neg = int(np.add.reduce(pos, axis=None)), int(np.add.reduce(neg, axis=None))
     if n_pos:
         loss += math.fsum(1.0 - gram[pos]) / n_pos
         weight -= pos / n_pos

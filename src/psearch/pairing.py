@@ -30,8 +30,9 @@ def build_subgroups(labels: np.ndarray) -> np.ndarray:
         raise InvalidParams(f"images must come in pairs, got {len(labels)}")
     width = 2 * labels.shape[1]
     rows = labels.reshape(len(labels) // 2, width, 1)  # one column of labels per pair
+    col = np.arange(width)
     # members i < j of pair t with one identity label, in (t, i, j) order
-    t, i, j = np.triu((rows == rows.transpose(0, 2, 1)) & (rows >= 0), 1).nonzero()
+    t, i, j = ((rows == rows.transpose(0, 2, 1)) & (rows >= 0) & (col[:, None] < col)).nonzero()
     first, second = t * width + i, t * width + j
     return np.array([first, second, second, first]).T.reshape(-1, 2)
 
@@ -51,31 +52,32 @@ def select_priority_pool(
     hard_negative_labels must be ranked by descending cosine similarity
     to their anchors; only its head is read. Labels -1 in the ranking are
     skipped; every other label must lie in [0, num_classes), as olp_loss's
-    ranking of dictionary labels does; a ground-truth label that is not an
-    integer raises InvalidLabel before any draw. extra_labels (non-negative,
-    e.g. a background class index) are always included. If ground truth alone
-    exceeds pool_size the pool keeps everything and may exceed the target;
-    train() counts those iterations and logs them once per run.
+    ranking of dictionary labels does. A label of any of the three kinds
+    that is not an integer raises InvalidLabel before any draw. extra_labels
+    (non-negative, e.g. a background class) are always included. If ground
+    truth alone exceeds pool_size the pool keeps everything and may exceed
+    the target; train() counts those iterations and logs them once per run.
     """
     gt = int_labels(gt_labels if isinstance(gt_labels, np.ndarray) else list(gt_labels))
-    outside = gt[(gt < 0) | (gt >= num_classes)]
-    if outside.size:
+    extras = int_labels(list(extra_labels)).tolist() if extra_labels else []
+    if np.minimum.reduce(gt, initial=0) < 0 or np.maximum.reduce(gt, initial=-1) >= num_classes:
+        outside = gt[(gt < 0) | (gt >= num_classes)]
         raise InvalidParams(f"ground-truth label {outside[0]} outside [0, {num_classes})")
     # pool membership by label, extra labels past the classes included
-    member = np.zeros(max(num_classes, max(extra_labels, default=-1) + 1), dtype=bool)
+    member = np.zeros(max(num_classes, max(extras, default=-1) + 1), dtype=bool)
     member[gt] = True
-    member[list(extra_labels)] = True
-    size = int(np.count_nonzero(member))
-    target = min(pool_size, num_classes + len(extra_labels))
-    taken = 0
-    for lab in hard_negative_labels:
-        if taken >= top_negatives or size >= target:
+    if extras:
+        member[extras] = True
+    size = int(np.add.reduce(member))
+    target = min(pool_size, num_classes + len(extras))
+    stop = min(target, size + top_negatives)  # at most top_negatives hard negatives
+    for lab in int_labels(hard_negative_labels).tolist():
+        if size >= stop:
             break
         if lab < 0 or (lab < member.size and member[lab]):
             continue
         member[lab] = True
         size += 1
-        taken += 1
     remaining = (~member[:num_classes]).nonzero()[0]
     need = target - size
     if need > 0 and remaining.size > 0:

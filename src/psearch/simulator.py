@@ -226,6 +226,13 @@ def sample_iterations(world: SyntheticWorld, images_per_iter: int, proposals_per
                    labels[k * images_per_iter:(k + 1) * images_per_iter])
 
 
+def first_unseen(labels: np.ndarray, seen: np.ndarray) -> list[int]:
+    """Index of the first occurrence of each label that seen marks False."""
+    # walked backwards, each label's last write is its first index
+    first = dict(zip(labels.tolist()[::-1], range(len(labels) - 1, -1, -1)))
+    return [k for lab, k in first.items() if not seen[lab]]
+
+
 class ToyEncoder:
     """Affine map obs_dim -> 256 followed by L2 normalization."""
 
@@ -257,7 +264,7 @@ class ToyEncoder:
         if rows.size < len(dx):
             obs, x, norm, dx = obs.take(rows, 0), x.take(rows, 0), norm.take(rows, 0), dx.take(rows, 0)
         dz = (dx - x * np.einsum("...i,...i->...", x, dx)[..., None]) / norm
-        return dz.T @ obs, dz.sum(axis=0)
+        return dz.T @ obs, np.add.reduce(dz, axis=0)
 
 
 class ClassifierHead:
@@ -277,7 +284,7 @@ class ClassifierHead:
     def backward(self, cache, dscores: np.ndarray):
         """Returns (dA, dc, dx), dA and dc of the pool rows, summed over the rows."""
         x, A = cache
-        return dscores.T @ x, dscores.sum(axis=0), dscores @ A
+        return dscores.T @ x, np.add.reduce(dscores, axis=0), dscores @ A
 
 
 @dataclass
@@ -375,7 +382,8 @@ def train(
             y = labels.ravel()
             X, cache = encoder.encode(obs)
             # finite positive norms make finite nonzero rows; an overflowed norm zeroes them
-            if not (cache[2].min() > 0.0 and cache[2].max() < np.inf):
+            if not (np.minimum.reduce(cache[2], axis=None) > 0.0
+                    and np.maximum.reduce(cache[2], axis=None) < np.inf):
                 raise DivergenceDetected(f"zero or non-finite features at iteration {it}")
             person = (y != LABEL_BACKGROUND).nonzero()[0]
             labeled = (y >= 0).nonzero()[0]
@@ -401,9 +409,8 @@ def train(
                 pool_len = len(pool)
                 overfull += pool_len > hp.pool_size
                 if identity == "c2hep":
-                    if not centers.seen[y_lab].all():
-                        labs, first = np.unique(y_lab, return_index=True)
-                        fresh = labeled[first[~centers.seen[labs]]]
+                    if not np.logical_and.reduce(centers.seen[y_lab]):
+                        fresh = labeled[first_unseen(y_lab, centers.seen)]
                         degenerate += centers.update(y[fresh], X[fresh])
                     id_val, grads = c2hep_loss(X[labeled], y_lab, pool, centers, hp.lam)
                     G[labeled] += hp.beta * grads

@@ -149,6 +149,16 @@ class TestSelectPriorityPool:
             select_priority_pool(gt, [], 5, 2, 10, rng)
         assert rng.bit_generator.state == state
 
+    @pytest.mark.parametrize("hard,extra", [([3.5], frozenset()), (np.array([2.0]), frozenset()),
+                                            ([], {2.5}), (np.array([4]), {11.0})])
+    def test_non_integer_ranked_or_extra_label_refused_before_any_draw(self, hard, extra):
+        # refused by int_labels, as ground truth is, not by numpy indexing
+        rng = make_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(InvalidLabel, match="^labels must be integers, got float64$"):
+            select_priority_pool([1], hard, 5, 2, 10, rng, extra_labels=extra)
+        assert rng.bit_generator.state == state
+
     def test_gt_always_member_randomized(self):
         rng = make_rng(99)
         for _ in range(200):

@@ -1,10 +1,12 @@
 import dataclasses
+import inspect
 import logging
 import math
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import psearch.simulator as sim
 from psearch.checks import olp_oracle
@@ -23,9 +25,11 @@ from psearch.runner import train_from_config
 from psearch.simulator import (
     EMBED_DIM,
     IMAGES_PER_ITER,
+    LOSS_CHOICES,
     ClassifierHead,
     Schedule,
     ToyEncoder,
+    first_unseen,
     generate_world,
     observe,
     sample_image_pair,
@@ -658,6 +662,83 @@ class TestTrain:
                         2, 4, 5, make_rng(9))
         assert rows[0].dict_size > 0
         assert rows[-1].dict_size > rows[0].dict_size or rows[-1].dict_size > 0
+
+
+# numpy's Python-level wrappers kept out of the training step: every ndarray
+# reduction method (sum, max, min, all, ...) runs through _core/_methods.py
+WRAPPER_FILE = np._core._methods.__file__
+WRAPPERS = {(inspect.unwrap(f).__code__.co_filename, f.__name__)
+            for f in (np.triu, np.tri, np.unique)}
+
+
+def numpy_wrapper_calls(run) -> list:
+    """(file, function) of each call run() makes into numpy's
+    _core/_methods.py, np.triu, np.tri or np.unique, under sys.setprofile."""
+    calls = []
+
+    def profile(frame, event, arg):
+        code = frame.f_code
+        if event == "call" and (code.co_filename == WRAPPER_FILE
+                                or (code.co_filename, code.co_name) in WRAPPERS):
+            calls.append((code.co_filename, code.co_name))
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(previous)
+    return calls
+
+
+def test_wrapper_probe_sees_each_wrapper():
+    calls = numpy_wrapper_calls(lambda: (np.ones((2, 2)).sum(), np.zeros(3).max(),
+                                         np.triu(np.ones((3, 3)), 1), np.unique([2, 1, 2])))
+    assert [name for _, name in calls] == ["_sum", "_amax", "triu", "tri", "unique"]
+
+
+@pytest.mark.parametrize("images", [2, 8])
+@pytest.mark.parametrize("loss", LOSS_CHOICES)
+def test_training_step_calls_no_numpy_python_wrappers(loss, images):
+    """Three iterations of every loss choice make no call into numpy's
+    reduction-method wrappers, np.triu or np.unique: the step calls the
+    ufunc reduces and builds its masks itself. The generator's own
+    internal calls (prod, full, copyto) are not on the list."""
+    world = generate_world(10, latent_dim=4, obs_dim=16, seed=7)
+    calls = numpy_wrapper_calls(lambda: train(world, ToyEncoder(16, 8, seed=7), HyperParams(),
+                                              Schedule(), loss, images, 4, 3, make_rng(7)))
+    assert calls == []
+
+
+@given(labels=st.lists(st.integers(0, 4), min_size=1, max_size=32),
+       seen=st.integers(0, 2**5 - 1), seed=st.integers(0, 2**32 - 1))
+@example(labels=[3, 1, 3, 1, 0, 3], seen=0b01010, seed=0)  # repeats out of pair order
+@settings(max_examples=200, deadline=None)
+def test_first_unseen_matches_unique_reference(labels, seen, seed):
+    """train()'s c2hep install takes first_unseen's rows; the np.unique
+    (return_index=True) reference takes the same rows, in label order, and
+    installing either leaves a partly seen table the same byte for byte.
+    Labels repeat out of pair order, which BASE's sampler, labeling one
+    proposal per image, never makes."""
+    labels = np.array(labels, dtype=np.int64)
+    rng = make_rng(seed)
+    feats = rng.normal(size=(len(labels), 8))
+    feats /= np.linalg.norm(feats, axis=1, keepdims=True)
+    prior = np.array([c for c in range(5) if seen >> c & 1], dtype=np.int64)
+    prior_feats = rng.normal(size=(prior.size, 8))
+    prior_feats /= np.linalg.norm(prior_feats, axis=1, keepdims=True)
+    installed = []
+    for pick in ("first_unseen", "unique"):
+        table = ClassCenterTable(5, 8)
+        table.update(prior, prior_feats)
+        if pick == "first_unseen":
+            rows = first_unseen(labels, table.seen)
+        else:
+            labs, first = np.unique(labels, return_index=True)
+            rows = first[~table.seen[labs]].tolist()
+        degenerate = table.update(labels[rows], feats[rows])
+        installed.append((sorted(rows), table.centers.tobytes(), table.seen.tobytes(), degenerate))
+    assert installed[0] == installed[1]
 
 
 def test_overfull_pool_warns_once_per_run(caplog):
